@@ -25,7 +25,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dsw_core::dist::{
-    distribute, BlockJacobiRank, DistributedSouthwellRank, LocalSystem, Monitor,
+    distribute, BlockJacobiRank, DistributedSouthwellRank, LocalSystem, MonitorCore,
     ParallelSouthwellRank,
 };
 use dsw_partition::{partition_multilevel, Graph, MultilevelOptions};
@@ -86,18 +86,18 @@ fn bench_method_pair<A, F, L>(
     for _ in 0..WARMUP_STEPS {
         ex.step();
     }
-    let mut mon = Monitor::new(a, b);
+    let mut mon = MonitorCore::new(a.nrows());
     group.bench_function(&format!("{name}_step_exact"), |bench| {
         bench.iter(|| {
             ex.step();
-            mon.exact(ex.ranks(), &local_of)
+            mon.exact(a, b, ex.ranks(), &local_of)
         })
     });
     let mut ex = Executor::new(build(), CostModel::default(), ExecMode::Sequential);
     for _ in 0..WARMUP_STEPS {
         ex.step();
     }
-    let mut mon = Monitor::new(a, b);
+    let mut mon = MonitorCore::new(a.nrows());
     group.bench_function(&format!("{name}_step_maintained"), |bench| {
         bench.iter(|| {
             ex.step();
@@ -150,9 +150,9 @@ fn bench_monitor_512(c: &mut Criterion) {
             CostModel::default(),
             ExecMode::Sequential,
         );
-        let mut mon = Monitor::new(&a, &b);
+        let mut mon = MonitorCore::new(a.nrows());
         group.bench_function(&format!("eval_exact_512_grid{tag}"), |bench| {
-            bench.iter(|| mon.exact(ex.ranks(), &|r: &DistributedSouthwellRank| &r.ls))
+            bench.iter(|| mon.exact(&a, &b, ex.ranks(), &|r: &DistributedSouthwellRank| &r.ls))
         });
         group.bench_function(&format!("eval_maintained_512_grid{tag}"), |bench| {
             bench.iter(|| mon.maintained(ex.ranks()).map(|m| m.norm))

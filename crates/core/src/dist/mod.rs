@@ -32,8 +32,8 @@ pub mod session;
 pub use block_jacobi::BlockJacobiRank;
 pub use distributed_southwell::{DistributedSouthwellRank, DsConfig};
 pub use driver::{
-    drive, run_method, DistOptions, DistReport, ExecBackend, MaintainedNorm, Method, Monitor,
-    MonitorCore, MonitorMode, StepRecord,
+    drive, run_method, DistOptions, DistReport, ExecBackend, MaintainedNorm, Method, MonitorCore,
+    MonitorMode, StepRecord,
 };
 pub use layout::{distribute, gather_r, gather_x, LocalSystem};
 pub use local_solver::{LocalSolver, LocalSolverImpl};

@@ -159,19 +159,13 @@ struct ReportPrint {
     max_rel_drift_bits: u64,
 }
 
-fn drive_print(
-    mode: ExecMode,
-    close_mode: CloseMode,
-    monitor: MonitorMode,
-    chaos: ChaosConfig,
-) -> ReportPrint {
+fn drive_print(mode: ExecMode, monitor: MonitorMode, chaos: ChaosConfig) -> ReportPrint {
     let (a, b, x0) = problem_64();
     let part = partition_multilevel(&Graph::from_matrix(&a), 64, MultilevelOptions::default());
     let opts = DistOptions {
         max_steps: 15,
         target_residual: Some(1e-4),
         backend: ExecBackend::Superstep(mode),
-        close_mode,
         monitor,
         chaos,
         ..DistOptions::default()
@@ -197,8 +191,9 @@ fn drive_print(
 /// The determinism contract lifted to the driver: in BOTH monitor modes,
 /// a full `drive()` run — records, solution, verdicts, monitor counters —
 /// is bit-identical across the sequential executor, the persistent pool
-/// (with the epoch close serial and parallel), and the legacy
-/// spawn-per-phase scheduler, with and without chaos.
+/// (with the production epoch close), and the legacy spawn-per-phase
+/// scheduler, with and without chaos. The close modes themselves are
+/// varied at executor level above.
 #[test]
 fn drive_is_bit_identical_across_exec_modes_in_both_monitor_modes() {
     let chaotic = ChaosConfig {
@@ -213,18 +208,16 @@ fn drive_is_bit_identical_across_exec_modes_in_both_monitor_modes() {
         MonitorMode::default(),
     ] {
         for chaos in [ChaosConfig::none(), chaotic] {
-            let reference = drive_print(ExecMode::Sequential, CloseMode::Serial, monitor, chaos);
-            for (mode, close) in [
-                (ExecMode::Threaded(2), CloseMode::Parallel),
-                (ExecMode::Threaded(4), CloseMode::Parallel),
-                (ExecMode::Threaded(4), CloseMode::Serial),
-                (ExecMode::Threaded(2), CloseMode::Auto),
-                (ExecMode::ThreadedSpawn(3), CloseMode::Auto),
+            let reference = drive_print(ExecMode::Sequential, monitor, chaos);
+            for mode in [
+                ExecMode::Threaded(2),
+                ExecMode::Threaded(4),
+                ExecMode::ThreadedSpawn(3),
             ] {
                 assert_eq!(
                     reference,
-                    drive_print(mode, close, monitor, chaos),
-                    "{mode:?} × {close:?} diverged from Sequential under {monitor:?}"
+                    drive_print(mode, monitor, chaos),
+                    "{mode:?} diverged from Sequential under {monitor:?}"
                 );
             }
         }
