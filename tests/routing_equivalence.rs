@@ -1,16 +1,17 @@
-//! Property test for the target-major parallel epoch close: the inboxes a
+//! Property test for the superstep executor's epoch close: the inboxes a
 //! rank observes — every envelope, in order, with source, class, and
-//! payload — are **byte-identical** between the reference serial
-//! origin-major close (dynamic flat routing, sequential execution) and
-//! every other routing/scheduling combination: the reverse-neighbor
-//! bucketed path, serial or chunked across the worker pool, under any
-//! pool size and grain, with drops, duplicates, delays, and stalls
-//! injected. The test program exercises multiple puts per edge, multiple
-//! message classes, and both phases of a two-phase step on a 64-rank grid.
+//! payload — are **byte-identical** between an independent reference
+//! router (the lock-step asynchronous executor, which delivers origin-major
+//! at its tick boundaries) and every routing/scheduling combination of the
+//! superstep executor: flat or reverse-neighbor bucketed routing, closed
+//! serially or chunked across the worker pool, under any pool size and
+//! grain, with drops, duplicates, delays, and stalls injected. The test
+//! program exercises multiple puts per edge, multiple message classes, and
+//! both phases of a two-phase step on a 64-rank grid.
 
 use distributed_southwell::rma::{
-    ChaosConfig, CloseMode, CommClass, CostModel, Envelope, ExecMode, Executor, PhaseCtx,
-    RankAlgorithm, RedundantHost, StepStats,
+    AsyncExecutor, AsyncOptions, ChaosConfig, CloseMode, CommClass, CostModel, Envelope, ExecMode,
+    Executor, PhaseCtx, RankAlgorithm, RedundantHost, RunStats, StepStats,
 };
 use proptest::prelude::*;
 
@@ -95,24 +96,32 @@ impl RankAlgorithm for Gossip {
 }
 
 /// Everything observable, bitwise-comparable: the full per-rank inbox
-/// logs, the per-step deterministic counters, and the fault tallies.
+/// logs, the run totals of the deterministic step counters, the per-rank
+/// message counts, and the fault tallies. Totals rather than per-step
+/// counters, because the asynchronous reference records one pseudo-step
+/// per tick where the superstep executor records one per parallel step.
 #[derive(Debug, PartialEq)]
 struct Observed {
     logs: Vec<Vec<InboxLog>>,
-    steps: Vec<StepStats>,
+    totals: [u64; 15],
     msgs_per_rank: Vec<u64>,
     faults: (u64, u64, u64, u64),
 }
 
-fn run(
-    mode: ExecMode,
-    close: CloseMode,
-    declare: bool,
-    grain: Option<usize>,
-    chaos: ChaosConfig,
-) -> Observed {
+/// Parallel steps the randomized runs execute.
+const STEPS: usize = 8;
+
+/// One superstep-executor configuration: exec mode, close mode, whether
+/// the ranks declare their put targets, and the work-stealing grain.
+type Path = (ExecMode, CloseMode, bool, Option<usize>);
+
+/// Targeted `(rank, steps)` stalls injected before the run, and the number
+/// of parallel steps to execute.
+type Schedule<'a> = (&'a [(usize, usize)], usize);
+
+fn gossip_fleet(declare: bool) -> Vec<Gossip> {
     let (w, h) = (8, 8);
-    let ranks: Vec<Gossip> = (0..w * h)
+    (0..w * h)
         .map(|id| Gossip {
             id,
             w,
@@ -121,7 +130,85 @@ fn run(
             step: 0,
             log: Vec::new(),
         })
-        .collect();
+        .collect()
+}
+
+fn observe(logs: Vec<Vec<InboxLog>>, stats: &RunStats) -> Observed {
+    let mut totals = [0u64; 15];
+    for s in &stats.steps {
+        let row = [
+            s.msgs,
+            s.msgs_solve,
+            s.msgs_residual,
+            s.msgs_recovery,
+            s.msgs_redundancy,
+            s.msgs_transfer,
+            s.bytes,
+            s.bytes_solve,
+            s.bytes_residual,
+            s.bytes_recovery,
+            s.bytes_redundancy,
+            s.bytes_transfer,
+            s.flops,
+            s.relaxations,
+            s.active_ranks,
+        ];
+        for (t, v) in totals.iter_mut().zip(row) {
+            *t += v;
+        }
+    }
+    let f = stats.total_faults();
+    Observed {
+        logs,
+        totals,
+        msgs_per_rank: stats.msgs_per_rank.clone(),
+        faults: (
+            f.dropped.total(),
+            f.duplicated.total(),
+            f.delayed.total(),
+            f.stalled_ranks,
+        ),
+    }
+}
+
+/// The independent reference: the lock-step [`AsyncExecutor`] (every rank
+/// advances on every tick, no lag bound in reach), whose tick-boundary
+/// router delivers origin-major on its own code path. Exactly
+/// `phases × steps` ticks make one tick per epoch, so its fate keys and
+/// stall windows line up with the superstep executor's. `run_steps` would
+/// overshoot on the ranks a stall did not hold back.
+fn run_async<A: RankAlgorithm>(
+    ranks: Vec<A>,
+    chaos: ChaosConfig,
+    (stalls, steps): Schedule,
+    logs: impl Fn(&[A]) -> Vec<Vec<InboxLog>>,
+) -> Observed {
+    let opts = AsyncOptions {
+        advance_probability: 1.0,
+        max_lag: 1_000_000,
+        seed: 0,
+        ..AsyncOptions::default()
+    };
+    let nphases = ranks[0].phases();
+    let mut ex = AsyncExecutor::with_chaos(ranks, opts, chaos).expect("valid chaos config");
+    for &(rank, steps) in stalls {
+        ex.injector_mut().inject_stall(rank, steps);
+    }
+    for _ in 0..nphases * steps {
+        ex.tick();
+    }
+    observe(logs(ex.ranks()), &ex.stats)
+}
+
+/// One superstep-executor run: the observables plus the per-step counters
+/// (modelled time included), which every superstep path must agree on.
+fn run_superstep<A: RankAlgorithm>(
+    ranks: Vec<A>,
+    (mode, close, declare, grain): Path,
+    chaos: ChaosConfig,
+    (stalls, steps): Schedule,
+    logs: impl Fn(&[A]) -> Vec<Vec<InboxLog>>,
+) -> (Observed, Vec<StepStats>) {
     let mut ex = Executor::with_chaos(ranks, CostModel::default(), mode, chaos);
     assert_eq!(ex.has_routing_index(), declare);
     ex.set_close_mode(close);
@@ -129,20 +216,52 @@ fn run(
     if let Some(g) = grain {
         ex.set_grain(g);
     }
-    for _ in 0..8 {
+    for &(rank, steps) in stalls {
+        ex.injector_mut().inject_stall(rank, steps);
+    }
+    for _ in 0..steps {
         ex.step();
     }
-    let f = ex.stats.total_faults();
-    Observed {
-        logs: ex.ranks().iter().map(|r| r.log.clone()).collect(),
-        steps: ex.stats.steps.clone(),
-        msgs_per_rank: ex.stats.msgs_per_rank.clone(),
-        faults: (
-            f.dropped.total(),
-            f.duplicated.total(),
-            f.delayed.total(),
-            f.stalled_ranks,
-        ),
+    (observe(logs(ex.ranks()), &ex.stats), ex.stats.steps.clone())
+}
+
+fn gossip_logs(ranks: &[Gossip]) -> Vec<Vec<InboxLog>> {
+    ranks.iter().map(|r| r.log.clone()).collect()
+}
+
+/// All hosted inner logs, per physical rank in ascending block order.
+fn coded_logs(hosts: &[RedundantHost<Gossip>]) -> Vec<Vec<InboxLog>> {
+    hosts
+        .iter()
+        .map(|h| {
+            h.solvers()
+                .flat_map(|(_, s)| s.log.iter().cloned())
+                .collect()
+        })
+        .collect()
+}
+
+/// Asserts that every superstep path observes exactly the reference, and
+/// that all of them agree on the per-step counters.
+fn assert_paths_match<A: RankAlgorithm>(
+    reference: &Observed,
+    paths: &[Path],
+    fleet: impl Fn(bool) -> Vec<A>,
+    chaos: ChaosConfig,
+    schedule: Schedule,
+    logs: impl Fn(&[A]) -> Vec<Vec<InboxLog>> + Copy,
+) {
+    let mut first_steps: Option<Vec<StepStats>> = None;
+    for &path in paths {
+        let (observed, steps) = run_superstep(fleet(path.2), path, chaos, schedule, logs);
+        assert_eq!(
+            reference, &observed,
+            "{path:?} diverged from the asynchronous reference"
+        );
+        match &first_steps {
+            None => first_steps = Some(steps),
+            Some(first) => assert_eq!(first, &steps, "{path:?}: per-step counters differ"),
+        }
     }
 }
 
@@ -169,30 +288,26 @@ proptest! {
             seed,
             ..ChaosConfig::none()
         };
-        // The reference: dynamic flat routing, closed serially in origin
-        // order on the sequential executor.
-        let reference = run(ExecMode::Sequential, CloseMode::Serial, false, None, chaos);
-        for (mode, close, declare, grain) in [
-            // Bucketed routing must match flat routing even fully serial.
-            (ExecMode::Sequential, CloseMode::Serial, true, None),
-            // The pool-parallel close, across pool sizes and grains.
-            (ExecMode::Threaded(3), CloseMode::Parallel, true, None),
-            (ExecMode::Threaded(5), CloseMode::Parallel, true, Some(1)),
-            (ExecMode::Threaded(2), CloseMode::Auto, true, Some(7)),
-            // Flat routing on the pool (close stays serial by construction).
-            (ExecMode::Threaded(4), CloseMode::Parallel, false, None),
-        ] {
-            let other = run(mode, close, declare, grain, chaos);
-            prop_assert_eq!(
-                &reference,
-                &other,
-                "{:?} × {:?} (declare {}, grain {:?}) diverged from the serial flat reference",
-                mode,
-                close,
-                declare,
-                grain
-            );
-        }
+        let reference = run_async(gossip_fleet(true), chaos, (&[], STEPS), gossip_logs);
+        assert_paths_match(
+            &reference,
+            &[
+                // Flat routing, closed serially in origin order.
+                (ExecMode::Sequential, CloseMode::Serial, false, None),
+                // Bucketed routing, fully serial.
+                (ExecMode::Sequential, CloseMode::Serial, true, None),
+                // The pool-parallel close, across pool sizes and grains.
+                (ExecMode::Threaded(3), CloseMode::Parallel, true, None),
+                (ExecMode::Threaded(5), CloseMode::Parallel, true, Some(1)),
+                (ExecMode::Threaded(2), CloseMode::Auto, true, Some(7)),
+                // Flat routing on the pool (close stays serial by construction).
+                (ExecMode::Threaded(4), CloseMode::Parallel, false, None),
+            ],
+            gossip_fleet,
+            chaos,
+            (&[], STEPS),
+            gossip_logs,
+        );
     }
 }
 
@@ -227,48 +342,6 @@ fn coded_ranks(r: usize, declare: bool) -> Vec<RedundantHost<Gossip>> {
         .collect()
 }
 
-/// Runs the coded fleet and snapshots every observable: all hosted inner
-/// logs (per physical rank, ascending block order), steps, counters.
-fn run_coded(
-    mode: ExecMode,
-    close: CloseMode,
-    declare: bool,
-    grain: Option<usize>,
-    chaos: ChaosConfig,
-    r: usize,
-) -> Observed {
-    let mut ex = Executor::with_chaos(coded_ranks(r, declare), CostModel::default(), mode, chaos);
-    assert_eq!(ex.has_routing_index(), declare);
-    ex.set_close_mode(close);
-    ex.set_parallel_close_threshold(0);
-    if let Some(g) = grain {
-        ex.set_grain(g);
-    }
-    for _ in 0..8 {
-        ex.step();
-    }
-    let f = ex.stats.total_faults();
-    Observed {
-        logs: ex
-            .ranks()
-            .iter()
-            .map(|h| {
-                h.solvers()
-                    .flat_map(|(_, s)| s.log.iter().cloned())
-                    .collect()
-            })
-            .collect(),
-        steps: ex.stats.steps.clone(),
-        msgs_per_rank: ex.stats.msgs_per_rank.clone(),
-        faults: (
-            f.dropped.total(),
-            f.duplicated.total(),
-            f.delayed.total(),
-            f.stalled_ranks,
-        ),
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -297,8 +370,9 @@ proptest! {
             ..ChaosConfig::none()
         };
         for declare in [false, true] {
-            let plain = run(ExecMode::Sequential, CloseMode::Serial, declare, None, chaos);
-            let coded = run_coded(ExecMode::Sequential, CloseMode::Serial, declare, None, chaos, 1);
+            let path = (ExecMode::Sequential, CloseMode::Serial, declare, None);
+            let plain = run_superstep(gossip_fleet(declare), path, chaos, (&[], STEPS), gossip_logs);
+            let coded = run_superstep(coded_ranks(1, declare), path, chaos, (&[], STEPS), coded_logs);
             prop_assert_eq!(
                 &plain,
                 &coded,
@@ -311,7 +385,7 @@ proptest! {
 
     /// The coded fan-out path (r = 2) is schedule-independent: every
     /// routing/close/pool combination observes byte-identical inner logs
-    /// and counters to the serial flat reference, under full chaos
+    /// and counters to the asynchronous reference, under full chaos
     /// (duplicates included — reconciliation must be deterministic too).
     #[test]
     fn coded_fanout_identical_across_paths(
@@ -331,68 +405,44 @@ proptest! {
             seed,
             ..ChaosConfig::none()
         };
-        let reference = run_coded(ExecMode::Sequential, CloseMode::Serial, false, None, chaos, 2);
-        for (mode, close, declare, grain) in [
-            (ExecMode::Sequential, CloseMode::Serial, true, None),
-            (ExecMode::Threaded(3), CloseMode::Parallel, true, None),
-            (ExecMode::Threaded(2), CloseMode::Auto, true, Some(7)),
-            (ExecMode::Threaded(4), CloseMode::Parallel, false, None),
-        ] {
-            let other = run_coded(mode, close, declare, grain, chaos, 2);
-            prop_assert_eq!(
-                &reference,
-                &other,
-                "coded r = 2: {:?} × {:?} (declare {}, grain {:?}) diverged",
-                mode,
-                close,
-                declare,
-                grain
-            );
-        }
+        let reference = run_async(coded_ranks(2, true), chaos, (&[], STEPS), coded_logs);
+        assert_paths_match(
+            &reference,
+            &[
+                (ExecMode::Sequential, CloseMode::Serial, false, None),
+                (ExecMode::Sequential, CloseMode::Serial, true, None),
+                (ExecMode::Threaded(3), CloseMode::Parallel, true, None),
+                (ExecMode::Threaded(2), CloseMode::Auto, true, Some(7)),
+                (ExecMode::Threaded(4), CloseMode::Parallel, false, None),
+            ],
+            |declare| coded_ranks(2, declare),
+            chaos,
+            (&[], STEPS),
+            coded_logs,
+        );
     }
 }
 
 /// The stall path deserves a deterministic (non-random) anchor: a targeted
 /// stall makes inboxes accumulate across phases, which is exactly where
-/// the bucketed close's append-to-stalled-target handling must agree with
-/// the flat path.
+/// the close's append-to-stalled-target handling must agree with the
+/// reference.
 #[test]
 fn targeted_stall_accumulation_identical_across_paths() {
-    let mk = |mode, close, declare| {
-        let (w, h) = (8, 8);
-        let ranks: Vec<Gossip> = (0..w * h)
-            .map(|id| Gossip {
-                id,
-                w,
-                h,
-                declare,
-                step: 0,
-                log: Vec::new(),
-            })
-            .collect();
-        let mut ex = Executor::new(ranks, CostModel::default(), mode);
-        ex.set_close_mode(close);
-        ex.set_parallel_close_threshold(0);
-        ex.injector_mut().inject_stall(27, 3);
-        ex.injector_mut().inject_stall(0, 2);
-        for _ in 0..6 {
-            ex.step();
-        }
-        (
-            ex.ranks().iter().map(|r| r.log.clone()).collect::<Vec<_>>(),
-            ex.stats.steps.clone(),
-        )
-    };
-    let reference = mk(ExecMode::Sequential, CloseMode::Serial, false);
-    for (mode, close, declare) in [
-        (ExecMode::Sequential, CloseMode::Serial, true),
-        (ExecMode::Threaded(4), CloseMode::Parallel, true),
-        (ExecMode::ThreadedSpawn(3), CloseMode::Auto, true),
-    ] {
-        assert_eq!(
-            reference,
-            mk(mode, close, declare),
-            "{mode:?} × {close:?} (declare {declare}) diverged under targeted stalls"
-        );
-    }
+    let schedule: Schedule = (&[(27, 3), (0, 2)], 6);
+    let chaos = ChaosConfig::none();
+    let reference = run_async(gossip_fleet(true), chaos, schedule, gossip_logs);
+    assert_paths_match(
+        &reference,
+        &[
+            (ExecMode::Sequential, CloseMode::Serial, false, None),
+            (ExecMode::Sequential, CloseMode::Serial, true, None),
+            (ExecMode::Threaded(4), CloseMode::Parallel, true, None),
+            (ExecMode::ThreadedSpawn(3), CloseMode::Auto, true, None),
+        ],
+        gossip_fleet,
+        chaos,
+        schedule,
+        gossip_logs,
+    );
 }
