@@ -98,19 +98,16 @@ fn bench_one_mode<A: RankAlgorithm>(
     group.bench_function(name, |b| b.iter(|| ex.step()));
 }
 
-/// Old vs new executor on 512-rank supersteps: `pool4` is the persistent
-/// work-stealing pool (`ExecMode::Threaded`), `spawn4` the legacy
-/// per-phase `crossbeam::thread::scope` scheduler (`ThreadedSpawn`), with
-/// `seq` as the single-thread floor. The pool's win is the amortized
-/// thread start-up: `spawn4` pays a spawn+join per *phase*.
-fn bench_executor_pool_vs_spawn(c: &mut Criterion) {
+/// The executor's two scheduling modes on 512-rank DS/PS/BJ supersteps:
+/// `seq` runs every rank on the calling thread, `pool4` dispatches them
+/// to the persistent work-stealing pool (`ExecMode::Threaded(4)`).
+fn bench_executor_modes(c: &mut Criterion) {
     let (locals, norms, r0) = executor_problem_512();
     let mut group = c.benchmark_group("executor_512");
     group.sample_size(10);
     for (label, mode) in [
         ("seq", ExecMode::Sequential),
         ("pool4", ExecMode::Threaded(4)),
-        ("spawn4", ExecMode::ThreadedSpawn(4)),
     ] {
         bench_one_mode(
             &mut group,
@@ -140,6 +137,6 @@ criterion_group!(
     bench_local_sweep,
     bench_partitioner,
     bench_executor_step,
-    bench_executor_pool_vs_spawn
+    bench_executor_modes
 );
 criterion_main!(kernels);

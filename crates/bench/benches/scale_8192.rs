@@ -69,8 +69,8 @@ impl RankAlgorithm for GridRoute {
         1
     }
 
-    fn put_targets(&self) -> Option<Vec<usize>> {
-        Some(self.neighbors())
+    fn put_targets(&self) -> Vec<usize> {
+        self.neighbors()
     }
 
     fn phase(&mut self, _phase: usize, inbox: &[Envelope<u64>], ctx: &mut PhaseCtx<u64>) {

@@ -614,11 +614,9 @@ impl RankAlgorithm for BlockJacobiRank {
         2
     }
 
-    fn put_targets(&self) -> Option<Vec<usize>> {
-        // All communication goes to the static subdomain neighbor set, so
-        // the executor can build its reverse-neighbor routing index and
-        // close epochs target-major on the worker pool.
-        Some(self.ls.neighbors.clone())
+    fn put_targets(&self) -> Vec<usize> {
+        // All communication goes to the static subdomain neighbor set.
+        self.ls.neighbors.clone()
     }
 
     fn phase(&mut self, phase: usize, inbox: &[Envelope<DistMsg>], ctx: &mut PhaseCtx<DistMsg>) {

@@ -506,8 +506,8 @@ impl RankAlgorithm for DsSmootherRank {
         }
     }
 
-    fn put_targets(&self) -> Option<Vec<usize>> {
-        Some(self.neighbors.clone())
+    fn put_targets(&self) -> Vec<usize> {
+        self.neighbors.clone()
     }
 }
 

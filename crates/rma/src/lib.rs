@@ -16,9 +16,11 @@
 //!   are read by targets in phase `k + 1` — never earlier, which is the
 //!   one-sided visibility rule;
 //! * the [`Executor`] runs all ranks phase-by-phase, either sequentially or
-//!   on a crossbeam thread pool ([`ExecMode`]); both modes produce
-//!   bit-identical results because ranks only interact through the epoch
-//!   boundary;
+//!   on a persistent work-stealing worker pool ([`ExecMode`]); both modes
+//!   produce bit-identical results because ranks only interact through the
+//!   epoch boundary, which the executor routes target-major over the
+//!   neighbour sets every rank declares up front
+//!   ([`RankAlgorithm::put_targets`]);
 //! * every put is counted, per rank and per [`CommClass`] — message counts
 //!   are the paper's primary communication metric ("total number of
 //!   messages sent by all processes divided by the number of processes")

@@ -156,7 +156,7 @@ impl WorkerPool {
 
 /// A worker pool shared by many executors — the serving-layer substrate.
 ///
-/// The original design creates one [`WorkerPool`] per
+/// The original design creates one private worker pool per
 /// [`Executor`](crate::Executor) ([`ExecMode::Threaded`](crate::ExecMode)),
 /// which is right for a single long solve but wrong for a service
 /// multiplexing hundreds of tenants: P tenants would spawn P pools of N

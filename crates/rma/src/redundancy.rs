@@ -301,7 +301,7 @@ impl<A: RankAlgorithm> RankAlgorithm for RedundantHost<A> {
         }
         for i in 0..self.blocks.len() {
             let hb = &mut self.blocks[i];
-            let mut ictx = PhaseCtx::new_for_async(hb.block);
+            let mut ictx = PhaseCtx::capture(hb.block);
             hb.solver.phase(phase, &hb.inbox, &mut ictx);
             hb.inbox.clear();
             let (outbox, totals) = ictx.into_outbox_and_totals();
@@ -343,10 +343,10 @@ impl<A: RankAlgorithm> RankAlgorithm for RedundantHost<A> {
         }
     }
 
-    fn put_targets(&self) -> Option<Vec<usize>> {
+    fn put_targets(&self) -> Vec<usize> {
         let mut out = Vec::new();
         for hb in &self.blocks {
-            for lt in hb.solver.put_targets()? {
+            for lt in hb.solver.put_targets() {
                 for &host in &self.replicas[lt] {
                     if host as usize != self.rank {
                         out.push(host as usize);
@@ -356,7 +356,7 @@ impl<A: RankAlgorithm> RankAlgorithm for RedundantHost<A> {
         }
         out.sort_unstable();
         out.dedup();
-        Some(out)
+        out
     }
 
     fn maintained_norm_sq(&self) -> Option<f64> {
@@ -401,8 +401,8 @@ mod tests {
             ctx.put((self.id + 1) % self.n, CommClass::Solve, self.value, 8);
             ctx.record_relaxations(1);
         }
-        fn put_targets(&self) -> Option<Vec<usize>> {
-            Some(vec![(self.id + 1) % self.n])
+        fn put_targets(&self) -> Vec<usize> {
+            vec![(self.id + 1) % self.n]
         }
     }
 
@@ -531,7 +531,7 @@ mod tests {
     }
 
     /// The wrapper advertises the physical fan-out topology, so the
-    /// bucketed (reverse-neighbor-indexed) close accepts every put.
+    /// executor's reverse-neighbor-indexed close accepts every put.
     #[test]
     fn put_targets_cover_replica_fanout() {
         let n = 5;
@@ -540,10 +540,8 @@ mod tests {
         // Host 0 runs blocks 0 and 4 (replica of 4). Block 0 targets block
         // 1 (hosts 1, 2); block 4 targets block 0 (hosts 0, 1) — physical
         // targets {1, 2} ∪ {1} minus self.
-        let t0 = hs[0].put_targets().unwrap();
-        assert_eq!(t0, vec![1, 2]);
+        assert_eq!(hs[0].put_targets(), vec![1, 2]);
         let mut ex = Executor::new(hs, CostModel::default(), ExecMode::Sequential);
-        assert!(ex.has_routing_index());
         for _ in 0..4 {
             ex.step();
         }

@@ -42,60 +42,36 @@ impl CommClass {
     ];
 }
 
-/// Message counts split by [`CommClass`].
+/// Counts split by [`CommClass`]: one counter per class, indexed by
+/// `class as usize` (the order of [`CommClass::ALL`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClassCounts {
-    /// [`CommClass::Solve`] messages.
-    pub solve: u64,
-    /// [`CommClass::Residual`] messages.
-    pub residual: u64,
-    /// [`CommClass::Recovery`] messages.
-    pub recovery: u64,
-    /// [`CommClass::Redundancy`] messages.
-    pub redundancy: u64,
-    /// [`CommClass::Transfer`] messages.
-    pub transfer: u64,
-}
+pub struct ClassCounts([u64; CommClass::ALL.len()]);
 
 impl ClassCounts {
     /// Adds `n` to the counter of `class`.
     #[inline]
     pub fn add(&mut self, class: CommClass, n: u64) {
-        match class {
-            CommClass::Solve => self.solve += n,
-            CommClass::Residual => self.residual += n,
-            CommClass::Recovery => self.recovery += n,
-            CommClass::Redundancy => self.redundancy += n,
-            CommClass::Transfer => self.transfer += n,
-        }
+        self.0[class as usize] += n;
     }
 
     /// The counter of `class`.
     #[inline]
     pub fn of(&self, class: CommClass) -> u64 {
-        match class {
-            CommClass::Solve => self.solve,
-            CommClass::Residual => self.residual,
-            CommClass::Recovery => self.recovery,
-            CommClass::Redundancy => self.redundancy,
-            CommClass::Transfer => self.transfer,
-        }
+        self.0[class as usize]
     }
 
     /// Sum over all classes.
     #[inline]
     pub fn total(&self) -> u64 {
-        self.solve + self.residual + self.recovery + self.redundancy + self.transfer
+        self.0.iter().sum()
     }
 
     /// Element-wise accumulation.
     #[inline]
     pub fn accumulate(&mut self, other: &ClassCounts) {
-        self.solve += other.solve;
-        self.residual += other.residual;
-        self.recovery += other.recovery;
-        self.redundancy += other.redundancy;
-        self.transfer += other.transfer;
+        for (a, b) in self.0.iter_mut().zip(other.0) {
+            *a += b;
+        }
     }
 }
 
@@ -265,6 +241,24 @@ impl PartialEq for StepStats {
 }
 
 impl StepStats {
+    /// Folds per-class message and byte counts into the step's totals and
+    /// per-class fields.
+    pub(crate) fn add_class_counts(&mut self, msgs: &ClassCounts, bytes: &ClassCounts) {
+        use CommClass::*;
+        self.msgs += msgs.total();
+        self.msgs_solve += msgs.of(Solve);
+        self.msgs_residual += msgs.of(Residual);
+        self.msgs_recovery += msgs.of(Recovery);
+        self.msgs_redundancy += msgs.of(Redundancy);
+        self.msgs_transfer += msgs.of(Transfer);
+        self.bytes += bytes.total();
+        self.bytes_solve += bytes.of(Solve);
+        self.bytes_residual += bytes.of(Residual);
+        self.bytes_recovery += bytes.of(Recovery);
+        self.bytes_redundancy += bytes.of(Redundancy);
+        self.bytes_transfer += bytes.of(Transfer);
+    }
+
     /// The step's measured load-imbalance factor: the critical-path rank's
     /// compute time over the per-rank mean (`max / mean` across `nranks`
     /// ranks). `1.0` is perfect balance; Distributed Southwell's "few ranks
@@ -555,6 +549,14 @@ impl RunStats {
 mod tests {
     use super::*;
 
+    fn counts(entries: &[(CommClass, u64)]) -> ClassCounts {
+        let mut c = ClassCounts::default();
+        for &(class, n) in entries {
+            c.add(class, n);
+        }
+        c
+    }
+
     #[test]
     fn run_stats_aggregation() {
         let mut rs = RunStats::new(4);
@@ -585,19 +587,9 @@ mod tests {
             relaxations: 40,
             time: 0.25,
             faults: FaultStats {
-                dropped: ClassCounts {
-                    solve: 2,
-                    residual: 1,
-                    ..ClassCounts::default()
-                },
-                duplicated: ClassCounts {
-                    solve: 1,
-                    ..ClassCounts::default()
-                },
-                delayed: ClassCounts {
-                    recovery: 3,
-                    ..ClassCounts::default()
-                },
+                dropped: counts(&[(CommClass::Solve, 2), (CommClass::Residual, 1)]),
+                duplicated: counts(&[(CommClass::Solve, 1)]),
+                delayed: counts(&[(CommClass::Recovery, 3)]),
                 stalled_ranks: 2,
             },
             ..StepStats::default()

@@ -65,10 +65,6 @@ fn run(mode: ExecMode, close: CloseMode, chaos: ChaosConfig, nsteps: usize) -> F
     let r0 = a.residual(&b, &x0);
     let ranks = DistributedSouthwellRank::build(locals, &norms, &r0);
     let mut ex = Executor::with_chaos(ranks, CostModel::default(), mode, chaos);
-    assert!(
-        ex.has_routing_index(),
-        "DS ranks declare put_targets, so the executor must route target-major"
-    );
     ex.set_close_mode(close);
     for _ in 0..nsteps {
         ex.step();
@@ -209,11 +205,7 @@ fn drive_is_bit_identical_across_exec_modes_in_both_monitor_modes() {
     ] {
         for chaos in [ChaosConfig::none(), chaotic] {
             let reference = drive_print(ExecMode::Sequential, monitor, chaos);
-            for mode in [
-                ExecMode::Threaded(2),
-                ExecMode::Threaded(4),
-                ExecMode::ThreadedSpawn(3),
-            ] {
+            for mode in [ExecMode::Threaded(2), ExecMode::Threaded(4)] {
                 assert_eq!(
                     reference,
                     drive_print(mode, monitor, chaos),

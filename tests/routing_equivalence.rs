@@ -2,10 +2,10 @@
 //! rank observes — every envelope, in order, with source, class, and
 //! payload — are **byte-identical** between an independent reference
 //! router (the lock-step asynchronous executor, which delivers origin-major
-//! at its tick boundaries) and every routing/scheduling combination of the
-//! superstep executor: flat or reverse-neighbor bucketed routing, closed
-//! serially or chunked across the worker pool, under any pool size and
-//! grain, with drops, duplicates, delays, and stalls injected. The test
+//! at its tick boundaries) and every scheduling combination of the
+//! superstep executor's reverse-neighbor bucketed close: serial or chunked
+//! across the worker pool, under any pool size and grain, with drops,
+//! duplicates, delays, and stalls injected. The test
 //! program exercises multiple puts per edge, multiple message classes, and
 //! both phases of a two-phase step on a 64-rank grid.
 
@@ -27,8 +27,6 @@ struct Gossip {
     id: usize,
     w: usize,
     h: usize,
-    /// Advertise `put_targets` (switches the executor to bucketed routing).
-    declare: bool,
     step: u64,
     log: Vec<InboxLog>,
 }
@@ -60,8 +58,8 @@ impl RankAlgorithm for Gossip {
         2
     }
 
-    fn put_targets(&self) -> Option<Vec<usize>> {
-        self.declare.then(|| self.neighbors())
+    fn put_targets(&self) -> Vec<usize> {
+        self.neighbors()
     }
 
     fn phase(&mut self, phase: usize, inbox: &[Envelope<u64>], ctx: &mut PhaseCtx<u64>) {
@@ -111,22 +109,21 @@ struct Observed {
 /// Parallel steps the randomized runs execute.
 const STEPS: usize = 8;
 
-/// One superstep-executor configuration: exec mode, close mode, whether
-/// the ranks declare their put targets, and the work-stealing grain.
-type Path = (ExecMode, CloseMode, bool, Option<usize>);
+/// One superstep-executor configuration: exec mode, close mode, and the
+/// work-stealing grain.
+type Path = (ExecMode, CloseMode, Option<usize>);
 
 /// Targeted `(rank, steps)` stalls injected before the run, and the number
 /// of parallel steps to execute.
 type Schedule<'a> = (&'a [(usize, usize)], usize);
 
-fn gossip_fleet(declare: bool) -> Vec<Gossip> {
+fn gossip_fleet() -> Vec<Gossip> {
     let (w, h) = (8, 8);
     (0..w * h)
         .map(|id| Gossip {
             id,
             w,
             h,
-            declare,
             step: 0,
             log: Vec::new(),
         })
@@ -204,13 +201,12 @@ fn run_async<A: RankAlgorithm>(
 /// (modelled time included), which every superstep path must agree on.
 fn run_superstep<A: RankAlgorithm>(
     ranks: Vec<A>,
-    (mode, close, declare, grain): Path,
+    (mode, close, grain): Path,
     chaos: ChaosConfig,
     (stalls, steps): Schedule,
     logs: impl Fn(&[A]) -> Vec<Vec<InboxLog>>,
 ) -> (Observed, Vec<StepStats>) {
     let mut ex = Executor::with_chaos(ranks, CostModel::default(), mode, chaos);
-    assert_eq!(ex.has_routing_index(), declare);
     ex.set_close_mode(close);
     ex.set_parallel_close_threshold(0);
     if let Some(g) = grain {
@@ -246,14 +242,14 @@ fn coded_logs(hosts: &[RedundantHost<Gossip>]) -> Vec<Vec<InboxLog>> {
 fn assert_paths_match<A: RankAlgorithm>(
     reference: &Observed,
     paths: &[Path],
-    fleet: impl Fn(bool) -> Vec<A>,
+    fleet: impl Fn() -> Vec<A>,
     chaos: ChaosConfig,
     schedule: Schedule,
     logs: impl Fn(&[A]) -> Vec<Vec<InboxLog>> + Copy,
 ) {
     let mut first_steps: Option<Vec<StepStats>> = None;
     for &path in paths {
-        let (observed, steps) = run_superstep(fleet(path.2), path, chaos, schedule, logs);
+        let (observed, steps) = run_superstep(fleet(), path, chaos, schedule, logs);
         assert_eq!(
             reference, &observed,
             "{path:?} diverged from the asynchronous reference"
@@ -288,20 +284,16 @@ proptest! {
             seed,
             ..ChaosConfig::none()
         };
-        let reference = run_async(gossip_fleet(true), chaos, (&[], STEPS), gossip_logs);
+        let reference = run_async(gossip_fleet(), chaos, (&[], STEPS), gossip_logs);
         assert_paths_match(
             &reference,
             &[
-                // Flat routing, closed serially in origin order.
-                (ExecMode::Sequential, CloseMode::Serial, false, None),
-                // Bucketed routing, fully serial.
-                (ExecMode::Sequential, CloseMode::Serial, true, None),
+                // Fully serial.
+                (ExecMode::Sequential, CloseMode::Serial, None),
                 // The pool-parallel close, across pool sizes and grains.
-                (ExecMode::Threaded(3), CloseMode::Parallel, true, None),
-                (ExecMode::Threaded(5), CloseMode::Parallel, true, Some(1)),
-                (ExecMode::Threaded(2), CloseMode::Auto, true, Some(7)),
-                // Flat routing on the pool (close stays serial by construction).
-                (ExecMode::Threaded(4), CloseMode::Parallel, false, None),
+                (ExecMode::Threaded(3), CloseMode::Parallel, None),
+                (ExecMode::Threaded(5), CloseMode::Parallel, Some(1)),
+                (ExecMode::Threaded(2), CloseMode::Auto, Some(7)),
             ],
             gossip_fleet,
             chaos,
@@ -314,7 +306,7 @@ proptest! {
 /// Builds the coded 8 × 8 gossip fleet: block `b`'s `Gossip` instances are
 /// dealt to cyclic-shift replica sets of factor `r` (shift stride 3), the
 /// same shape `dsw-partition`'s `ReplicaMap` produces.
-fn coded_ranks(r: usize, declare: bool) -> Vec<RedundantHost<Gossip>> {
+fn coded_ranks(r: usize) -> Vec<RedundantHost<Gossip>> {
     let n = 64usize;
     let replicas: Vec<Vec<u32>> = (0..n as u32)
         .map(|b| (0..r as u32).map(|j| (b + j * 3) % n as u32).collect())
@@ -330,7 +322,6 @@ fn coded_ranks(r: usize, declare: bool) -> Vec<RedundantHost<Gossip>> {
                             id: b,
                             w: 8,
                             h: 8,
-                            declare,
                             step: 0,
                             log: Vec::new(),
                         },
@@ -369,18 +360,15 @@ proptest! {
             seed,
             ..ChaosConfig::none()
         };
-        for declare in [false, true] {
-            let path = (ExecMode::Sequential, CloseMode::Serial, declare, None);
-            let plain = run_superstep(gossip_fleet(declare), path, chaos, (&[], STEPS), gossip_logs);
-            let coded = run_superstep(coded_ranks(1, declare), path, chaos, (&[], STEPS), coded_logs);
-            prop_assert_eq!(
-                &plain,
-                &coded,
-                "r = 1 wrapper not transparent (declare {}, seed {})",
-                declare,
-                seed
-            );
-        }
+        let path = (ExecMode::Sequential, CloseMode::Serial, None);
+        let plain = run_superstep(gossip_fleet(), path, chaos, (&[], STEPS), gossip_logs);
+        let coded = run_superstep(coded_ranks(1), path, chaos, (&[], STEPS), coded_logs);
+        prop_assert_eq!(
+            &plain,
+            &coded,
+            "r = 1 wrapper not transparent (seed {})",
+            seed
+        );
     }
 
     /// The coded fan-out path (r = 2) is schedule-independent: every
@@ -405,17 +393,15 @@ proptest! {
             seed,
             ..ChaosConfig::none()
         };
-        let reference = run_async(coded_ranks(2, true), chaos, (&[], STEPS), coded_logs);
+        let reference = run_async(coded_ranks(2), chaos, (&[], STEPS), coded_logs);
         assert_paths_match(
             &reference,
             &[
-                (ExecMode::Sequential, CloseMode::Serial, false, None),
-                (ExecMode::Sequential, CloseMode::Serial, true, None),
-                (ExecMode::Threaded(3), CloseMode::Parallel, true, None),
-                (ExecMode::Threaded(2), CloseMode::Auto, true, Some(7)),
-                (ExecMode::Threaded(4), CloseMode::Parallel, false, None),
+                (ExecMode::Sequential, CloseMode::Serial, None),
+                (ExecMode::Threaded(3), CloseMode::Parallel, None),
+                (ExecMode::Threaded(2), CloseMode::Auto, Some(7)),
             ],
-            |declare| coded_ranks(2, declare),
+            || coded_ranks(2),
             chaos,
             (&[], STEPS),
             coded_logs,
@@ -431,14 +417,12 @@ proptest! {
 fn targeted_stall_accumulation_identical_across_paths() {
     let schedule: Schedule = (&[(27, 3), (0, 2)], 6);
     let chaos = ChaosConfig::none();
-    let reference = run_async(gossip_fleet(true), chaos, schedule, gossip_logs);
+    let reference = run_async(gossip_fleet(), chaos, schedule, gossip_logs);
     assert_paths_match(
         &reference,
         &[
-            (ExecMode::Sequential, CloseMode::Serial, false, None),
-            (ExecMode::Sequential, CloseMode::Serial, true, None),
-            (ExecMode::Threaded(4), CloseMode::Parallel, true, None),
-            (ExecMode::ThreadedSpawn(3), CloseMode::Auto, true, None),
+            (ExecMode::Sequential, CloseMode::Serial, None),
+            (ExecMode::Threaded(4), CloseMode::Parallel, None),
         ],
         gossip_fleet,
         chaos,
