@@ -118,7 +118,7 @@ fn bench_multirhs(c: &mut Criterion) {
     let n = a.nrows();
     let opts = serve_opts();
     let prime = tenant_rhs(n, 0, 0);
-    let mut session = TenantSession::build(GATE_METHOD, a, &prime, &x0, &part, &opts, None);
+    let mut session = TenantSession::build(GATE_METHOD, &a, &prime, &x0, &part, &opts, None);
     session.solve(&prime);
 
     let mut group = c.benchmark_group("multirhs");

@@ -23,8 +23,8 @@
 //! alongside a solves/sec speedup ≥ [`GATE_SPEEDUP`].
 //!
 //! [`serve_problem`]: super::serve::serve_problem
-//! [`solve_many`]: dsw_core::dist::SolveSession::solve_many
-//! [`solve_panel`]: dsw_core::dist::SolveSession::solve_panel
+//! [`solve_many`]: dsw_core::dist::Session::solve_many
+//! [`solve_panel`]: dsw_core::dist::Session::solve_panel
 
 use super::serve::{serve_opts, serve_problem, tenant_rhs, RANKS};
 use crate::harness::{write_csv, ExperimentCtx};
@@ -106,9 +106,9 @@ pub fn run_point(method: Method, k: usize, windows: usize) -> MultiRhsRow {
     let opts = serve_opts();
     let prime = tenant_rhs(n, 0, 0);
 
-    let mut seq = TenantSession::build(method, a.clone(), &prime, &x0, &part, &opts, None);
+    let mut seq = TenantSession::build(method, &a, &prime, &x0, &part, &opts, None);
     seq.solve(&prime);
-    let mut fused = TenantSession::build(method, a.clone(), &prime, &x0, &part, &opts, None);
+    let mut fused = TenantSession::build(method, &a, &prime, &x0, &part, &opts, None);
     fused.solve(&prime);
 
     // One untimed warmup window per side (criterion-style): the first

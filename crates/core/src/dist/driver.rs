@@ -7,6 +7,7 @@ use super::distributed_southwell::{DistributedSouthwellRank, DsConfig};
 use super::layout::{distribute, LocalSystem};
 use super::parallel_southwell::ParallelSouthwellRank;
 use super::recovery::Recoverable;
+use super::session::{SolveSession, TenantSession, WarmStart};
 use crate::history::interpolate_crossing;
 use dsw_partition::{Partition, Redundancy, ReplicaMap};
 use dsw_rma::{
@@ -198,9 +199,8 @@ pub struct MaintainedNorm {
 /// Owns the gather and SpMV buffers (allocated once per run, not per
 /// step) and the [`MonitorStats`] counters, but *not* the system: every
 /// measurement takes `(a, b)` as arguments. This lets a persistent
-/// [`SolveSession`](crate::dist::session::SolveSession) — which owns its
-/// matrix and right-hand side — hold monitor scratch across solves
-/// without a self-referential borrow.
+/// [`SolveSession`] — which owns its matrix and right-hand side — hold
+/// monitor scratch across solves without a self-referential borrow.
 pub struct MonitorCore {
     /// Gather scratch: every owned row is overwritten on each gather (the
     /// parts partition `0..n`), so no per-use zeroing is needed.
@@ -667,113 +667,85 @@ pub fn run_method(
     partition: &Partition,
     opts: &DistOptions,
 ) -> DistReport {
-    if let Some(red) = opts.redundancy {
-        let map = ReplicaMap::try_new(partition.nparts(), red)
-            .unwrap_or_else(|e| panic!("DistOptions::redundancy: {e}"));
-        if map.r() > 1 {
-            return run_method_redundant(method, a, b, x0, partition, opts, &map);
-        }
-        // `r = 1` is the identity placement: run the uncoded path. The
-        // wrapper at r = 1 would be message-for-message identical except
-        // that its slot reconciliation absorbs chaos *duplicates* before
-        // the solver's own sequencing sees them — so the uncoded path is
-        // the one that keeps `Some(Redundancy::new(1))` bit-identical to
-        // `None` under every chaos mix.
-    }
-    let locals = distribute(a, b, x0, partition).expect("valid distribution");
-    let norms: Vec<f64> = locals.iter().map(|l| l.residual_norm_sq()).collect();
-    match method {
-        Method::BlockJacobi => {
-            let ranks = BlockJacobiRank::build_with_solver(locals, opts.ds_config.local_solver);
-            drive(method, ranks, |r| &r.ls, a, b, opts)
-        }
-        Method::ParallelSouthwell => {
-            let ranks =
-                ParallelSouthwellRank::build_cfg(locals, &norms, true, opts.ds_config.local_solver);
-            drive(method, ranks, |r| &r.ls, a, b, opts)
-        }
-        Method::ParallelSouthwellPiggybackOnly => {
-            let ranks = ParallelSouthwellRank::build_cfg(
-                locals,
-                &norms,
-                false,
-                opts.ds_config.local_solver,
-            );
-            drive(method, ranks, |r| &r.ls, a, b, opts)
-        }
-        Method::DistributedSouthwell => {
-            let r0 = a.residual(b, x0);
-            let ranks = DistributedSouthwellRank::build_with(locals, &norms, &r0, opts.ds_config);
-            drive(method, ranks, |r| &r.ls, a, b, opts)
-        }
-    }
+    // `r = 1` is the identity placement: run the uncoded path. The
+    // wrapper at r = 1 would be message-for-message identical except that
+    // its slot reconciliation absorbs chaos *duplicates* before the
+    // solver's own sequencing sees them — so the uncoded path is the one
+    // that keeps `Some(Redundancy::new(1))` bit-identical to `None` under
+    // every chaos mix.
+    let map = opts
+        .redundancy
+        .map(|red| {
+            ReplicaMap::try_new(partition.nparts(), red)
+                .unwrap_or_else(|e| panic!("DistOptions::redundancy: {e}"))
+        })
+        .filter(|map| map.r() > 1);
+    let run = RunMethod {
+        method,
+        a,
+        b,
+        opts,
+        map,
+    };
+    with_method_ranks(method, a, b, x0, partition, opts, run)
 }
 
-/// The redundancy-coded run: builds `r` bit-identical solver sets, deals
-/// each block's instances out to its replica hosts, and drives the
-/// [`RedundantHost`] wrappers through the standard loops with a
-/// [`ReplicaView`].
-fn run_method_redundant(
+/// A computation over whichever solver rank type a [`Method`] names —
+/// the continuation [`with_method_ranks`] calls.
+pub(crate) trait MethodRanks {
+    type Out;
+
+    /// Runs on the rank type `R`. Each call of `build` distributes the
+    /// system afresh and returns one full, freshly built rank set.
+    fn run<R>(self, build: &dyn Fn() -> Vec<R>) -> Self::Out
+    where
+        R: WarmStart + Clone,
+        TenantSession: From<SolveSession<R>>;
+}
+
+/// Maps `method` to its rank constructor and hands the constructor to
+/// `k`: the one place a [`Method`] picks a rank type.
+pub(crate) fn with_method_ranks<K: MethodRanks>(
     method: Method,
     a: &CsrMatrix,
     b: &[f64],
     x0: &[f64],
     partition: &Partition,
     opts: &DistOptions,
-    map: &ReplicaMap,
-) -> DistReport {
+    k: K,
+) -> K::Out {
+    // Every call distributes afresh, so each rank set it builds is new.
+    let locals = || {
+        let ls = distribute(a, b, x0, partition).expect("valid distribution");
+        let norms: Vec<f64> = ls.iter().map(LocalSystem::residual_norm_sq).collect();
+        (ls, norms)
+    };
+    let cfg = opts.ds_config;
     match method {
-        Method::BlockJacobi => drive_redundant(
-            method,
-            a,
-            b,
-            opts,
-            map,
-            |locals| BlockJacobiRank::build_with_solver(locals, opts.ds_config.local_solver),
-            |r: &BlockJacobiRank| &r.ls,
-            || distribute(a, b, x0, partition).expect("valid distribution"),
-        ),
+        Method::BlockJacobi => {
+            k.run(&|| BlockJacobiRank::build_with_solver(locals().0, cfg.local_solver))
+        }
         Method::ParallelSouthwell | Method::ParallelSouthwellPiggybackOnly => {
             let explicit = method == Method::ParallelSouthwell;
-            drive_redundant(
-                method,
-                a,
-                b,
-                opts,
-                map,
-                |locals| {
-                    let norms: Vec<f64> = locals.iter().map(|l| l.residual_norm_sq()).collect();
-                    ParallelSouthwellRank::build_cfg(
-                        locals,
-                        &norms,
-                        explicit,
-                        opts.ds_config.local_solver,
-                    )
-                },
-                |r: &ParallelSouthwellRank| &r.ls,
-                || distribute(a, b, x0, partition).expect("valid distribution"),
-            )
+            k.run(&|| {
+                let (ls, norms) = locals();
+                ParallelSouthwellRank::build_cfg(ls, &norms, explicit, cfg.local_solver)
+            })
         }
         Method::DistributedSouthwell => {
             let r0 = a.residual(b, x0);
-            drive_redundant(
-                method,
-                a,
-                b,
-                opts,
-                map,
-                |locals| {
-                    let norms: Vec<f64> = locals.iter().map(|l| l.residual_norm_sq()).collect();
-                    DistributedSouthwellRank::build_with(locals, &norms, &r0, opts.ds_config)
-                },
-                |r: &DistributedSouthwellRank| &r.ls,
-                || distribute(a, b, x0, partition).expect("valid distribution"),
-            )
+            k.run(&|| {
+                let (ls, norms) = locals();
+                DistributedSouthwellRank::build_with(ls, &norms, &r0, cfg)
+            })
         }
     }
 }
 
-/// Assembles and drives the coded rank set for one solver type.
+/// [`run_method`]'s continuation: one rank set driven directly, or — with
+/// a coded placement of `r > 1` — `r` bit-identical sets dealt out to the
+/// replica hosts and driven through [`RedundantHost`] wrappers with a
+/// [`ReplicaView`].
 ///
 /// Every replica of a block must start from identical state, so `r` full
 /// solver sets are built from `r` identical distributions; block `b`'s
@@ -781,52 +753,47 @@ fn run_method_redundant(
 /// deadlock-avoidance protocol needs no changes: the wrapper translates
 /// physical ↔ logical addresses, so Γ̃-set negotiation and recovery audits
 /// run purely in logical block space and see a replica set as one owner.
-#[allow(clippy::too_many_arguments)]
-fn drive_redundant<R, F, G, D>(
+struct RunMethod<'a> {
     method: Method,
-    a: &CsrMatrix,
-    b: &[f64],
-    opts: &DistOptions,
-    map: &ReplicaMap,
-    build: F,
-    local_of: G,
-    distribute_once: D,
-) -> DistReport
-where
-    R: RankAlgorithm + Recoverable,
-    RedundantHost<R>: Recoverable,
-    F: Fn(Vec<LocalSystem>) -> Vec<R>,
-    G: Fn(&R) -> &LocalSystem,
-    D: Fn() -> Vec<LocalSystem>,
-{
-    let nblocks = map.nblocks();
-    let mut sets: Vec<Vec<Option<R>>> = (0..map.r())
-        .map(|_| build(distribute_once()).into_iter().map(Some).collect())
-        .collect();
-    let mut per_host: Vec<Vec<(usize, R)>> = (0..nblocks).map(|_| Vec::new()).collect();
-    for (b_id, hosts) in (0..nblocks).map(|b| (b, map.hosts_of(b))) {
-        for (j, &h) in hosts.iter().enumerate() {
-            per_host[h].push((
-                b_id,
-                sets[j][b_id].take().expect("each instance dealt once"),
-            ));
+    a: &'a CsrMatrix,
+    b: &'a [f64],
+    opts: &'a DistOptions,
+    /// The coded placement, present only for `r > 1`.
+    map: Option<ReplicaMap>,
+}
+
+impl MethodRanks for RunMethod<'_> {
+    type Out = DistReport;
+
+    fn run<R>(self, build: &dyn Fn() -> Vec<R>) -> DistReport
+    where
+        R: WarmStart + Clone,
+    {
+        let Some(map) = self.map else {
+            return drive(self.method, build(), R::local, self.a, self.b, self.opts);
+        };
+        let mut per_host: Vec<Vec<(usize, R)>> = (0..map.nblocks()).map(|_| Vec::new()).collect();
+        for j in 0..map.r() {
+            for (block, solver) in build().into_iter().enumerate() {
+                per_host[map.hosts_of(block)[j]].push((block, solver));
+            }
         }
+        let replicas_u32: Vec<Vec<u32>> = map
+            .replicas()
+            .iter()
+            .map(|hs| hs.iter().map(|&h| h as u32).collect())
+            .collect();
+        let hosts: Vec<RedundantHost<R>> = per_host
+            .into_iter()
+            .enumerate()
+            .map(|(p, solvers)| RedundantHost::new(p, replicas_u32.clone(), solvers))
+            .collect();
+        let view = ReplicaView {
+            replicas: map.replicas().to_vec(),
+            local_of: R::local,
+        };
+        drive_view(self.method, hosts, &view, self.a, self.b, self.opts)
     }
-    let replicas_u32: Vec<Vec<u32>> = map
-        .replicas()
-        .iter()
-        .map(|hs| hs.iter().map(|&h| h as u32).collect())
-        .collect();
-    let hosts: Vec<RedundantHost<R>> = per_host
-        .into_iter()
-        .enumerate()
-        .map(|(p, solvers)| RedundantHost::new(p, replicas_u32.clone(), solvers))
-        .collect();
-    let view = ReplicaView {
-        replicas: map.replicas().to_vec(),
-        local_of,
-    };
-    drive_view(method, hosts, &view, a, b, opts)
 }
 
 /// Runs any solver rank type to a verdict on either substrate
@@ -1089,8 +1056,7 @@ impl<R: RankAlgorithm> StepBackend<R> for AsyncBackend<R> {
 /// boundary and applies it to `run`, until a verdict, the backend's
 /// boundary budget, or `quantum` boundaries — whichever comes first.
 /// Returns whether the solve is done. One-shot drives pass an unbounded
-/// quantum; a [`SolveSession`](crate::dist::session::SolveSession) steps
-/// the same loop in quanta.
+/// quantum; a [`SolveSession`] steps the same loop in quanta.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_boundaries<R, B, V>(
     backend: &mut B,

@@ -42,7 +42,7 @@ pub use panel::PanelRun;
 pub use parallel_southwell::ParallelSouthwellRank;
 pub use recovery::{Recoverable, RecoveryConfig};
 pub use seq::{SeqIn, SeqVerdict};
-pub use session::{SolveSession, TenantSession, WarmStart};
+pub use session::{Session, SolveSession, TenantSession, WarmStart};
 
 /// Re-exported so callers can request a coded placement
 /// ([`DistOptions::redundancy`](driver::DistOptions)) without depending on

@@ -40,10 +40,10 @@
 //! solves continue from the panel's final solution.
 
 use super::driver::{
-    nudge_all, recovery_totals, Boundary, DistOptions, DistReport, ExecBackend, Method,
-    MonitorCore, NormView, RunState,
+    nudge_all, recovery_totals, Boundary, DistOptions, DistReport, Method, MonitorCore, NormView,
+    RunState,
 };
-use super::session::{SolveSession, WarmStart};
+use super::session::{warm_executor, SolveSession, WarmStart};
 use dsw_rma::{Executor, PanelRank, SharedPool, StepStats};
 use dsw_sparse::vecops::norm2_sq_cols;
 use dsw_sparse::CsrMatrix;
@@ -87,9 +87,9 @@ struct ColState {
 /// An in-progress fused panel solve over `k` right-hand sides.
 ///
 /// Owned by a [`SolveSession`] between
-/// [`begin_panel`](SolveSession::begin_panel) and
-/// [`finish_panel`](SolveSession::finish_panel); stepped in quanta via
-/// [`step_panel`](SolveSession::step_panel) so a serving layer can
+/// [`begin_panel`](super::Session::begin_panel) and
+/// [`finish_panel`](super::Session::finish_panel); stepped in quanta via
+/// [`step_panel`](super::Session::step_panel) so a serving layer can
 /// schedule a whole tenant batch as one fair-share job.
 pub struct PanelRun<R: WarmStart> {
     pub(crate) ex: Executor<PanelRank<R>>,
@@ -124,12 +124,7 @@ impl<R: WarmStart> PanelRun<R> {
     /// exact norm exchange a scalar changed-`b` solve performs.
     ///
     /// Panics unless the options satisfy the warm-start preconditions
-    /// (superstep backend, no chaos, no redundancy, unbuffered solve
-    /// messages, recovery off) — the same set [`TenantSession`] asserts,
-    /// re-checked here because direct [`SolveSession`] construction
-    /// bypasses it.
-    ///
-    /// [`TenantSession`]: super::session::TenantSession
+    /// ([`warm_executor`] checks them).
     pub(crate) fn new(
         method: Method,
         a: &CsrMatrix,
@@ -147,29 +142,6 @@ impl<R: WarmStart> PanelRun<R> {
         for b in bs {
             assert_eq!(b.len(), n, "rhs dimension mismatch");
         }
-        let mode = match opts.backend {
-            ExecBackend::Superstep(mode) => mode,
-            ExecBackend::Async(_) => {
-                panic!("panel solves require the superstep backend (warm-start precondition)")
-            }
-        };
-        assert!(
-            !opts.chaos.is_active(),
-            "panel solves require a reliable transport (warm-start precondition)"
-        );
-        assert!(
-            opts.redundancy.is_none(),
-            "panel solves do not support coded redundancy"
-        );
-        assert_eq!(
-            opts.ds_config.solve_msg_threshold, 0.0,
-            "panel solves require unbuffered solve messages (warm-start precondition)"
-        );
-        assert!(
-            !opts.ds_config.recovery.is_active(),
-            "panel solves require the recovery layer off"
-        );
-
         let k = bs.len();
         assert!(
             k <= 64,
@@ -188,10 +160,7 @@ impl<R: WarmStart> PanelRun<R> {
                 panel
             })
             .collect();
-        let ex = match pool {
-            Some(pool) => Executor::with_shared_pool(ranks, opts.cost_model, opts.chaos, pool),
-            None => Executor::with_chaos(ranks, opts.cost_model, mode, opts.chaos),
-        };
+        let ex = warm_executor(ranks, &opts, pool);
 
         let mut run = PanelRun {
             ex,

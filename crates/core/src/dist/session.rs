@@ -30,12 +30,21 @@
 //! boundary with `solve_msg_threshold == 0`, no chaos, and recovery off:
 //! there, every residual delta sent in phase 0 was applied in phase 1 of
 //! the same step, so in-flight messages carry norm estimates only — and
-//! those are superseded by the exact exchange. [`TenantSession::build`]
-//! asserts exactly these preconditions.
+//! those are superseded by the exact exchange. Every warm-start executor —
+//! a session's and a fused panel's — is built by one function that
+//! asserts exactly these preconditions, plus the superstep backend and
+//! no coded redundancy.
+//!
+//! # The solve API
+//!
+//! [`Session`] is the solve API, implemented once for every
+//! [`SolveSession`]. A [`TenantSession`] — what a serving layer holds per
+//! tenant — dereferences to `dyn Session`, so callers use one method set
+//! whatever the method's rank type.
 //!
 //! # Quantum stepping
 //!
-//! [`SolveSession::step_batch`] advances a bounded number of supersteps
+//! [`Session::step_batch`] advances a bounded number of supersteps
 //! and returns whether the solve reached a verdict, so a serving layer
 //! can interleave many sessions on one shared [`SharedPool`] with
 //! per-tenant quanta (see the `dsw-serve` crate). The loop *is* the
@@ -47,15 +56,17 @@
 use super::block_jacobi::BlockJacobiRank;
 use super::distributed_southwell::DistributedSouthwellRank;
 use super::driver::{
-    run_boundaries, DirectView, DistOptions, DistReport, ExecBackend, Method, MonitorCore, RunState,
+    run_boundaries, with_method_ranks, DirectView, DistOptions, DistReport, ExecBackend, Method,
+    MethodRanks, MonitorCore, RunState,
 };
-use super::layout::{distribute, LocalSystem};
+use super::layout::LocalSystem;
 use super::panel::PanelRun;
 use super::parallel_southwell::ParallelSouthwellRank;
 use super::recovery::Recoverable;
 use dsw_partition::Partition;
 use dsw_rma::{Executor, RankAlgorithm, SharedPool};
 use dsw_sparse::CsrMatrix;
+use std::ops::{Deref, DerefMut};
 
 /// A rank algorithm whose state can be warm-started in place when the
 /// right-hand side changes between solves.
@@ -122,12 +133,50 @@ pub trait WarmStart: RankAlgorithm + Recoverable {
     }
 }
 
+/// Builds the executor a warm-start solve runs on — a session's or a
+/// fused panel's: on the shared worker `pool` when one is given,
+/// otherwise on a private one of the options' [`ExecBackend::Superstep`]
+/// mode.
+///
+/// Panics unless `opts` satisfy the warm-start preconditions (module
+/// docs); this is the one place they are checked.
+pub(crate) fn warm_executor<A: RankAlgorithm>(
+    ranks: Vec<A>,
+    opts: &DistOptions,
+    pool: Option<&SharedPool>,
+) -> Executor<A> {
+    let ExecBackend::Superstep(mode) = opts.backend else {
+        panic!("warm-start solves require the superstep backend");
+    };
+    assert!(
+        !opts.chaos.is_active(),
+        "warm-start solves require a reliable transport (chaos off)"
+    );
+    assert!(
+        opts.redundancy.is_none(),
+        "warm-start solves do not support coded redundancy"
+    );
+    assert_eq!(
+        opts.ds_config.solve_msg_threshold, 0.0,
+        "warm-start solves require unbuffered solve messages (solve_msg_threshold == 0)"
+    );
+    assert!(
+        !opts.ds_config.recovery.is_active(),
+        "warm-start solves require the recovery layer off (discarding in-flight \
+         messages would violate sequencing)"
+    );
+    match pool {
+        Some(pool) => Executor::with_shared_pool(ranks, opts.cost_model, opts.chaos, pool),
+        None => Executor::with_chaos(ranks, opts.cost_model, mode, opts.chaos),
+    }
+}
+
 /// A persistent solver instance: distributed state that survives across
 /// solves with evolving right-hand sides.
 ///
 /// Constructed through [`TenantSession::build`] (which picks the rank
-/// type for the method and enforces the warm-start preconditions), or
-/// directly from pre-built ranks for tests.
+/// type for the method), or directly from pre-built ranks. Its solve API
+/// is the [`Session`] trait.
 pub struct SolveSession<R: WarmStart> {
     method: Method,
     a: CsrMatrix,
@@ -142,10 +191,10 @@ pub struct SolveSession<R: WarmStart> {
     /// Exact per-rank `‖r_p‖²` scratch, reused across reseeds.
     pub(crate) norms_sq: Vec<f64>,
     /// The in-progress fused multi-RHS solve, if one is active
-    /// ([`SolveSession::begin_panel`]).
+    /// ([`Session::begin_panel`]).
     panel: Option<PanelRun<R>>,
     /// The most recently finished panel run, kept warm so the next
-    /// same-shape [`begin_panel`](SolveSession::begin_panel) reseeds it
+    /// same-shape [`begin_panel`](Session::begin_panel) reseeds it
     /// instead of re-cloning every rank and rebuilding the executor.
     panel_cache: Option<PanelRun<R>>,
 }
@@ -155,14 +204,19 @@ impl<R: WarmStart> SolveSession<R> {
         DirectView(R::local as fn(&R) -> &LocalSystem)
     }
 
-    /// Wraps a built executor into a session ready to solve `b`.
+    /// Wraps `ranks` into a session ready to solve `b`. With `pool`, the
+    /// executor runs its phases on the shared worker pool instead of
+    /// spawning its own. Panics unless `opts` satisfy the
+    /// [warm-start preconditions](self#warm-start-semantics).
     pub fn new(
         method: Method,
         a: CsrMatrix,
         b: Vec<f64>,
-        mut ex: Executor<R>,
+        ranks: Vec<R>,
         opts: DistOptions,
+        pool: Option<&SharedPool>,
     ) -> Self {
+        let mut ex = warm_executor(ranks, &opts, pool);
         let n = a.nrows();
         let nranks = ex.nranks();
         let mut monitor = MonitorCore::new(n);
@@ -187,11 +241,6 @@ impl<R: WarmStart> SolveSession<R> {
         }
     }
 
-    /// Number of ranks (blocks) in the session's partition.
-    pub fn nranks(&self) -> usize {
-        self.ex.nranks()
-    }
-
     /// Read access to the per-rank state (tests audit warm-start
     /// invariants through this).
     pub fn ranks(&self) -> &[R] {
@@ -204,16 +253,21 @@ impl<R: WarmStart> SolveSession<R> {
     pub fn ranks_mut(&mut self) -> &mut [R] {
         self.ex.ranks_mut()
     }
+}
+
+/// The solve API of a persistent session, whatever its rank type:
+/// warm-started scalar solves stepped in quanta, smoothing passes, and
+/// fused multi-RHS panels. Implemented by every [`SolveSession`];
+/// a [`TenantSession`] dereferences to `dyn Session`.
+pub trait Session {
+    /// Number of ranks (blocks) in the session's partition.
+    fn nranks(&self) -> usize;
 
     /// The method this session runs.
-    pub fn method(&self) -> Method {
-        self.method
-    }
+    fn method(&self) -> Method;
 
     /// Whether the current solve has reached a verdict.
-    pub fn is_done(&self) -> bool {
-        self.state.done
-    }
+    fn is_done(&self) -> bool;
 
     /// Begins a solve of `A x = b_new`, warm-starting from the current
     /// `x`.
@@ -224,7 +278,84 @@ impl<R: WarmStart> SolveSession<R> {
     /// re-seeded by the `Δb` shift, the cross-rank estimates by an exact
     /// out-of-band norm exchange, and stale in-flight norm messages are
     /// discarded.
-    pub fn begin_solve(&mut self, b_new: &[f64]) {
+    fn begin_solve(&mut self, b_new: &[f64]);
+
+    /// Advances up to `quantum` supersteps of the current solve; returns
+    /// `true` once the solve has reached a verdict (converged, deadlocked,
+    /// diverged, or out of steps). This is the driver's run loop.
+    fn step_batch(&mut self, quantum: usize) -> bool;
+
+    /// Closes the current solve and returns its report. Stats cover this
+    /// solve only: the executor's accumulators are harvested as an epoch
+    /// ([`dsw_rma::RunStats::take_epoch`]), so back-to-back solves on one
+    /// session never bleed into each other.
+    fn finish(&mut self) -> DistReport;
+
+    /// One full solve: begin, run to a verdict, report.
+    fn solve(&mut self, b: &[f64]) -> DistReport {
+        self.begin_solve(b);
+        while !self.step_batch(usize::MAX) {}
+        self.finish()
+    }
+
+    /// Runs the session as a *smoother*: exactly `steps` supersteps of
+    /// `A x = b` with no residual target and no divergence cutoff — the
+    /// multigrid contract of §4.1, where the relaxation budget, not a
+    /// tolerance, ends the pass. The session's solve options are restored
+    /// afterwards, so interleaved [`Session::solve`] calls are
+    /// unaffected. Warm-start semantics are those of
+    /// [`Session::begin_solve`]: an unchanged `b` continues the previous
+    /// pass bit-identically, a changed `b` reseeds by `Δb`.
+    fn smooth(&mut self, b: &[f64], steps: usize) -> DistReport;
+
+    /// Batched right-hand sides, solved sequentially: each solve
+    /// warm-starts from its predecessor's solution. The fused alternative
+    /// is [`Session::solve_panel`].
+    fn solve_many(&mut self, bs: &[Vec<f64>]) -> Vec<DistReport> {
+        bs.iter().map(|b| self.solve(b)).collect()
+    }
+
+    /// Begins a fused panel solve of `A x_c = bs[c]` for every column at
+    /// once, each warm-started from the session's current solution (see
+    /// [`PanelRun`]). With `pool`, the panel executor runs on the shared
+    /// worker pool. The session's scalar state is untouched until
+    /// [`finish_panel`](Session::finish_panel) adopts the last column.
+    fn begin_panel(&mut self, bs: &[Vec<f64>], pool: Option<&SharedPool>);
+
+    /// Whether a panel solve is currently active.
+    fn panel_active(&self) -> bool;
+
+    /// Advances up to `quantum` fused supersteps of the active panel;
+    /// returns `true` once every column has reached a verdict.
+    fn step_panel(&mut self, quantum: usize) -> bool;
+
+    /// Closes the active panel solve: one report per column, in `bs`
+    /// order, and the last column's state adopted as the session's —
+    /// subsequent scalar solves warm-start from it.
+    fn finish_panel(&mut self) -> Vec<DistReport>;
+
+    /// One full fused panel solve: begin, run to verdicts, report.
+    fn solve_panel(&mut self, bs: &[Vec<f64>], pool: Option<&SharedPool>) -> Vec<DistReport> {
+        self.begin_panel(bs, pool);
+        while !self.step_panel(usize::MAX) {}
+        self.finish_panel()
+    }
+}
+
+impl<R: WarmStart + Clone> Session for SolveSession<R> {
+    fn nranks(&self) -> usize {
+        self.ex.nranks()
+    }
+
+    fn method(&self) -> Method {
+        self.method
+    }
+
+    fn is_done(&self) -> bool {
+        self.state.done
+    }
+
+    fn begin_solve(&mut self, b_new: &[f64]) {
         assert!(
             self.panel.is_none(),
             "finish the active panel solve before beginning a scalar solve"
@@ -256,10 +387,7 @@ impl<R: WarmStart> SolveSession<R> {
         );
     }
 
-    /// Advances up to `quantum` supersteps of the current solve; returns
-    /// `true` once the solve has reached a verdict (converged, deadlocked,
-    /// diverged, or out of steps). This is the driver's run loop.
-    pub fn step_batch(&mut self, quantum: usize) -> bool {
+    fn step_batch(&mut self, quantum: usize) -> bool {
         run_boundaries(
             &mut self.ex,
             &mut self.state,
@@ -272,31 +400,12 @@ impl<R: WarmStart> SolveSession<R> {
         )
     }
 
-    /// Closes the current solve and returns its report. Stats cover this
-    /// solve only: the executor's accumulators are harvested as an epoch
-    /// ([`dsw_rma::RunStats::take_epoch`]), so back-to-back solves on one
-    /// session never bleed into each other.
-    pub fn finish(&mut self) -> DistReport {
+    fn finish(&mut self) -> DistReport {
         self.state
             .close(self.method, &mut self.ex, &mut self.monitor, &Self::view())
     }
 
-    /// One full solve: begin, run to a verdict, report.
-    pub fn solve(&mut self, b: &[f64]) -> DistReport {
-        self.begin_solve(b);
-        while !self.step_batch(self.opts.max_steps) {}
-        self.finish()
-    }
-
-    /// Runs the session as a *smoother*: exactly `steps` supersteps of
-    /// `A x = b` with no residual target and no divergence cutoff — the
-    /// multigrid contract of §4.1, where the relaxation budget, not a
-    /// tolerance, ends the pass. The session's solve options are restored
-    /// afterwards, so interleaved [`SolveSession::solve`] calls are
-    /// unaffected. Warm-start semantics are those of
-    /// [`SolveSession::begin_solve`]: an unchanged `b` continues the
-    /// previous pass bit-identically, a changed `b` reseeds by `Δb`.
-    pub fn smooth(&mut self, b: &[f64], steps: usize) -> DistReport {
+    fn smooth(&mut self, b: &[f64], steps: usize) -> DistReport {
         let saved = self.opts;
         self.opts.target_residual = None;
         self.opts.divergence_cutoff = None;
@@ -308,23 +417,7 @@ impl<R: WarmStart> SolveSession<R> {
         rep
     }
 
-    /// Batched right-hand sides, solved sequentially: each solve
-    /// warm-starts from its predecessor's solution. The fused alternative
-    /// is [`SolveSession::solve_panel`].
-    pub fn solve_many(&mut self, bs: &[Vec<f64>]) -> Vec<DistReport> {
-        bs.iter().map(|b| self.solve(b)).collect()
-    }
-
-    /// Begins a fused panel solve of `A x_c = bs[c]` for every column at
-    /// once, each warm-started from the session's current solution (see
-    /// [`PanelRun`]). With `pool`, the panel executor runs on the shared
-    /// worker pool. The session's scalar state is untouched until
-    /// [`finish_panel`](SolveSession::finish_panel) adopts the last
-    /// column.
-    pub fn begin_panel(&mut self, bs: &[Vec<f64>], pool: Option<&SharedPool>)
-    where
-        R: Clone,
-    {
+    fn begin_panel(&mut self, bs: &[Vec<f64>], pool: Option<&SharedPool>) {
         assert!(self.panel.is_none(), "a panel solve is already active");
         if let Some(mut run) = self.panel_cache.take() {
             // A cached run owns warm column clones, a built routing
@@ -348,41 +441,26 @@ impl<R: WarmStart> SolveSession<R> {
         ));
     }
 
-    /// Whether a panel solve is currently active.
-    pub fn panel_active(&self) -> bool {
+    fn panel_active(&self) -> bool {
         self.panel.is_some()
     }
 
-    /// Advances up to `quantum` fused supersteps of the active panel;
-    /// returns `true` once every column has reached a verdict.
-    pub fn step_panel(&mut self, quantum: usize) -> bool {
+    fn step_panel(&mut self, quantum: usize) -> bool {
         let run = self.panel.as_mut().expect("no active panel solve");
         run.step_batch(&self.a, quantum)
     }
 
-    /// Closes the active panel solve: one report per column, in `bs`
-    /// order, and the last column's state adopted as the session's —
-    /// subsequent scalar solves warm-start from it.
-    pub fn finish_panel(&mut self) -> Vec<DistReport> {
+    fn finish_panel(&mut self) -> Vec<DistReport> {
         let mut run = self.panel.take().expect("no active panel solve");
         let reports = run.finish_into(self);
         self.panel_cache = Some(run);
         reports
     }
-
-    /// One full fused panel solve: begin, run to verdicts, report.
-    pub fn solve_panel(&mut self, bs: &[Vec<f64>], pool: Option<&SharedPool>) -> Vec<DistReport>
-    where
-        R: Clone,
-    {
-        self.begin_panel(bs, pool);
-        while !self.step_panel(self.opts.max_steps) {}
-        self.finish_panel()
-    }
 }
 
 /// A method-erased [`SolveSession`] — what a serving layer holds per
-/// tenant.
+/// tenant. It dereferences to `dyn Session`, so the solve API is called
+/// on it directly; the variants give tests typed rank access.
 pub enum TenantSession {
     /// Algorithm 1.
     Bj(SolveSession<BlockJacobiRank>),
@@ -395,210 +473,95 @@ pub enum TenantSession {
 impl TenantSession {
     /// Distributes the system, builds the per-rank state for `method`,
     /// and wraps it in a session — the cold-start path, paid once per
-    /// tenant. With `pool`, the executor runs its phases on the shared
-    /// worker pool instead of spawning its own.
-    ///
-    /// Panics unless the options satisfy the warm-start preconditions:
-    /// superstep backend, no chaos, no redundancy, no message coalescing
-    /// (`solve_msg_threshold == 0`), recovery off.
+    /// tenant. The session keeps its own copy of `a`. With `pool`, the
+    /// executor runs its phases on the shared worker pool instead of
+    /// spawning its own. Panics unless `opts` satisfy the
+    /// [warm-start preconditions](self#warm-start-semantics).
     pub fn build(
         method: Method,
-        a: CsrMatrix,
+        a: &CsrMatrix,
         b: &[f64],
         x0: &[f64],
         partition: &Partition,
         opts: &DistOptions,
         pool: Option<&SharedPool>,
     ) -> TenantSession {
-        let mode = match opts.backend {
-            ExecBackend::Superstep(mode) => mode,
-            ExecBackend::Async(_) => {
-                panic!("TenantSession requires the superstep backend (warm-start precondition)")
-            }
+        let k = BuildSession {
+            method,
+            a: a.clone(),
+            b,
+            opts,
+            pool,
         };
-        assert!(
-            !opts.chaos.is_active(),
-            "TenantSession requires a reliable transport (warm-start precondition)"
-        );
-        assert!(
-            opts.redundancy.is_none(),
-            "TenantSession does not support coded redundancy"
-        );
-        assert_eq!(
-            opts.ds_config.solve_msg_threshold, 0.0,
-            "TenantSession requires unbuffered solve messages (warm-start precondition)"
-        );
-        assert!(
-            !opts.ds_config.recovery.is_active(),
-            "TenantSession requires the recovery layer off (discarding in-flight \
-             messages would violate sequencing)"
-        );
+        with_method_ranks(method, a, b, x0, partition, opts, k)
+    }
+}
 
-        let locals = distribute(&a, b, x0, partition).expect("valid distribution");
-        let norms: Vec<f64> = locals.iter().map(|l| l.residual_norm_sq()).collect();
-        macro_rules! session {
-            ($ranks:expr) => {{
-                let ranks = $ranks;
-                let ex = match pool {
-                    Some(pool) => {
-                        Executor::with_shared_pool(ranks, opts.cost_model, opts.chaos, pool)
-                    }
-                    None => Executor::with_chaos(ranks, opts.cost_model, mode, opts.chaos),
-                };
-                SolveSession::new(method, a, b.to_vec(), ex, *opts)
-            }};
-        }
-        match method {
-            Method::BlockJacobi => TenantSession::Bj(session!(BlockJacobiRank::build_with_solver(
-                locals,
-                opts.ds_config.local_solver
-            ))),
-            Method::ParallelSouthwell => TenantSession::Ps(session!(
-                ParallelSouthwellRank::build_cfg(locals, &norms, true, opts.ds_config.local_solver)
-            )),
-            Method::ParallelSouthwellPiggybackOnly => {
-                TenantSession::Ps(session!(ParallelSouthwellRank::build_cfg(
-                    locals,
-                    &norms,
-                    false,
-                    opts.ds_config.local_solver
-                )))
-            }
-            Method::DistributedSouthwell => {
-                let r0 = a.residual(b, x0);
-                TenantSession::Ds(session!(DistributedSouthwellRank::build_with(
-                    locals,
-                    &norms,
-                    &r0,
-                    opts.ds_config
-                )))
-            }
+/// [`TenantSession::build`]'s continuation: wraps the built ranks in a
+/// session.
+struct BuildSession<'a> {
+    method: Method,
+    a: CsrMatrix,
+    b: &'a [f64],
+    opts: &'a DistOptions,
+    pool: Option<&'a SharedPool>,
+}
+
+impl MethodRanks for BuildSession<'_> {
+    type Out = TenantSession;
+
+    fn run<R>(self, build: &dyn Fn() -> Vec<R>) -> TenantSession
+    where
+        R: WarmStart + Clone,
+        TenantSession: From<SolveSession<R>>,
+    {
+        let BuildSession {
+            method,
+            a,
+            b,
+            opts,
+            pool,
+        } = self;
+        SolveSession::new(method, a, b.to_vec(), build(), *opts, pool).into()
+    }
+}
+
+impl From<SolveSession<BlockJacobiRank>> for TenantSession {
+    fn from(s: SolveSession<BlockJacobiRank>) -> Self {
+        TenantSession::Bj(s)
+    }
+}
+
+impl From<SolveSession<ParallelSouthwellRank>> for TenantSession {
+    fn from(s: SolveSession<ParallelSouthwellRank>) -> Self {
+        TenantSession::Ps(s)
+    }
+}
+
+impl From<SolveSession<DistributedSouthwellRank>> for TenantSession {
+    fn from(s: SolveSession<DistributedSouthwellRank>) -> Self {
+        TenantSession::Ds(s)
+    }
+}
+
+impl Deref for TenantSession {
+    type Target = dyn Session;
+
+    fn deref(&self) -> &(dyn Session + 'static) {
+        match self {
+            TenantSession::Bj(s) => s,
+            TenantSession::Ps(s) => s,
+            TenantSession::Ds(s) => s,
         }
     }
+}
 
-    /// See [`SolveSession::begin_solve`].
-    pub fn begin_solve(&mut self, b: &[f64]) {
+impl DerefMut for TenantSession {
+    fn deref_mut(&mut self) -> &mut (dyn Session + 'static) {
         match self {
-            TenantSession::Bj(s) => s.begin_solve(b),
-            TenantSession::Ps(s) => s.begin_solve(b),
-            TenantSession::Ds(s) => s.begin_solve(b),
-        }
-    }
-
-    /// See [`SolveSession::step_batch`].
-    pub fn step_batch(&mut self, quantum: usize) -> bool {
-        match self {
-            TenantSession::Bj(s) => s.step_batch(quantum),
-            TenantSession::Ps(s) => s.step_batch(quantum),
-            TenantSession::Ds(s) => s.step_batch(quantum),
-        }
-    }
-
-    /// See [`SolveSession::is_done`].
-    pub fn is_done(&self) -> bool {
-        match self {
-            TenantSession::Bj(s) => s.is_done(),
-            TenantSession::Ps(s) => s.is_done(),
-            TenantSession::Ds(s) => s.is_done(),
-        }
-    }
-
-    /// See [`SolveSession::finish`].
-    pub fn finish(&mut self) -> DistReport {
-        match self {
-            TenantSession::Bj(s) => s.finish(),
-            TenantSession::Ps(s) => s.finish(),
-            TenantSession::Ds(s) => s.finish(),
-        }
-    }
-
-    /// See [`SolveSession::solve`].
-    pub fn solve(&mut self, b: &[f64]) -> DistReport {
-        match self {
-            TenantSession::Bj(s) => s.solve(b),
-            TenantSession::Ps(s) => s.solve(b),
-            TenantSession::Ds(s) => s.solve(b),
-        }
-    }
-
-    /// See [`SolveSession::smooth`].
-    pub fn smooth(&mut self, b: &[f64], steps: usize) -> DistReport {
-        match self {
-            TenantSession::Bj(s) => s.smooth(b, steps),
-            TenantSession::Ps(s) => s.smooth(b, steps),
-            TenantSession::Ds(s) => s.smooth(b, steps),
-        }
-    }
-
-    /// See [`SolveSession::solve_many`].
-    pub fn solve_many(&mut self, bs: &[Vec<f64>]) -> Vec<DistReport> {
-        match self {
-            TenantSession::Bj(s) => s.solve_many(bs),
-            TenantSession::Ps(s) => s.solve_many(bs),
-            TenantSession::Ds(s) => s.solve_many(bs),
-        }
-    }
-
-    /// See [`SolveSession::begin_panel`].
-    pub fn begin_panel(&mut self, bs: &[Vec<f64>], pool: Option<&SharedPool>) {
-        match self {
-            TenantSession::Bj(s) => s.begin_panel(bs, pool),
-            TenantSession::Ps(s) => s.begin_panel(bs, pool),
-            TenantSession::Ds(s) => s.begin_panel(bs, pool),
-        }
-    }
-
-    /// See [`SolveSession::panel_active`].
-    pub fn panel_active(&self) -> bool {
-        match self {
-            TenantSession::Bj(s) => s.panel_active(),
-            TenantSession::Ps(s) => s.panel_active(),
-            TenantSession::Ds(s) => s.panel_active(),
-        }
-    }
-
-    /// See [`SolveSession::step_panel`].
-    pub fn step_panel(&mut self, quantum: usize) -> bool {
-        match self {
-            TenantSession::Bj(s) => s.step_panel(quantum),
-            TenantSession::Ps(s) => s.step_panel(quantum),
-            TenantSession::Ds(s) => s.step_panel(quantum),
-        }
-    }
-
-    /// See [`SolveSession::finish_panel`].
-    pub fn finish_panel(&mut self) -> Vec<DistReport> {
-        match self {
-            TenantSession::Bj(s) => s.finish_panel(),
-            TenantSession::Ps(s) => s.finish_panel(),
-            TenantSession::Ds(s) => s.finish_panel(),
-        }
-    }
-
-    /// See [`SolveSession::solve_panel`].
-    pub fn solve_panel(&mut self, bs: &[Vec<f64>], pool: Option<&SharedPool>) -> Vec<DistReport> {
-        match self {
-            TenantSession::Bj(s) => s.solve_panel(bs, pool),
-            TenantSession::Ps(s) => s.solve_panel(bs, pool),
-            TenantSession::Ds(s) => s.solve_panel(bs, pool),
-        }
-    }
-
-    /// See [`SolveSession::nranks`].
-    pub fn nranks(&self) -> usize {
-        match self {
-            TenantSession::Bj(s) => s.nranks(),
-            TenantSession::Ps(s) => s.nranks(),
-            TenantSession::Ds(s) => s.nranks(),
-        }
-    }
-
-    /// See [`SolveSession::method`].
-    pub fn method(&self) -> Method {
-        match self {
-            TenantSession::Bj(s) => s.method(),
-            TenantSession::Ps(s) => s.method(),
-            TenantSession::Ds(s) => s.method(),
+            TenantSession::Bj(s) => s,
+            TenantSession::Ps(s) => s,
+            TenantSession::Ds(s) => s,
         }
     }
 }

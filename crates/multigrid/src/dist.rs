@@ -659,13 +659,7 @@ impl DistMultigrid {
                                 let zeros = vec![0.0; n];
                                 LevelSmoother::Session {
                                     sess: Box::new(TenantSession::build(
-                                        method,
-                                        (*a).clone(),
-                                        &zeros,
-                                        &zeros,
-                                        &part,
-                                        &opts,
-                                        None,
+                                        method, &a, &zeros, &zeros, &part, &opts, None,
                                     )),
                                     x_shadow: vec![0.0; n],
                                     steps: steps.max(1),

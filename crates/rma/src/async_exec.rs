@@ -17,7 +17,7 @@
 //! it.
 
 use crate::executor::{Envelope, PhaseCtx, RankAlgorithm};
-use crate::fault::{ChaosConfig, FaultInjector};
+use crate::fault::{mix64, ChaosConfig, FaultInjector};
 use crate::stats::{RunStats, StepStats};
 
 /// Scheduling options for the asynchronous executor.
@@ -49,15 +49,6 @@ impl Default for AsyncOptions {
             straggler_skew: 0.0,
         }
     }
-}
-
-/// SplitMix64 finalizer — the same mixer the fault injector uses; here it
-/// turns `(seed, rank)` into the per-rank speed draw.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
 }
 
 /// The outcome of [`AsyncExecutor::run_steps`]: how many ticks elapsed,
@@ -144,7 +135,10 @@ impl<A: RankAlgorithm> AsyncExecutor<A> {
         let advance_p: Vec<f64> = (0..n)
             .map(|i| {
                 let u = if opts.straggler_skew > 0.0 {
-                    let h = mix64(opts.seed ^ (i as u64).wrapping_mul(0xd1342543de82ef95));
+                    // One splitmix64 step (golden-gamma increment, then
+                    // the fault injector's finalizer).
+                    let z = opts.seed ^ (i as u64).wrapping_mul(0xd1342543de82ef95);
+                    let h = mix64(z.wrapping_add(0x9e37_79b9_7f4a_7c15));
                     (h >> 11) as f64 / (1u64 << 53) as f64
                 } else {
                     0.0

@@ -490,7 +490,12 @@ pub struct Executor<A: RankAlgorithm> {
 /// each worker dereferences only the indices it claimed from the atomic
 /// cursor, and those claims are disjoint.
 struct SyncPtr<T>(*mut T);
+// SAFETY: moving the pointer to a worker moves no `T`; every dereference
+// is of an index the worker claimed exclusively from the pool cursor,
+// while the owning `Vec` outlives the blocking `pool.run` dispatch.
 unsafe impl<T> Send for SyncPtr<T> {}
+// SAFETY: shared `&SyncPtr` copies only hand out the raw pointer; the
+// disjoint-claim rule above keeps every `&mut` derived from it unique.
 unsafe impl<T> Sync for SyncPtr<T> {}
 
 /// Everything the close touches, shared across close workers.
@@ -517,7 +522,13 @@ struct CloseShared<'a, M> {
     chunk: usize,
     n: usize,
 }
+// SAFETY: the raw pointers address per-target and per-origin slots of
+// executor-owned buffers that outlive the blocking close dispatch, and a
+// worker dereferences only the slots of the chunk it claimed; chunks are
+// disjoint. The payloads `M` moved between threads are `Send`.
 unsafe impl<M: Send> Send for CloseShared<'_, M> {}
+// SAFETY: shared access is the same disjoint-chunk access as above; the
+// shared-reference fields are only read, and `touched` is atomic.
 unsafe impl<M: Send> Sync for CloseShared<'_, M> {}
 
 impl<A: RankAlgorithm> Executor<A> {
@@ -906,6 +917,8 @@ impl<A: RankAlgorithm> Executor<A> {
                     // edge list, origin `i`'s buckets — are accessed
                     // exclusively; `inboxes` is only read.
                     let rank = unsafe { &mut *ranks.0.add(i) };
+                    // SAFETY: as above — index `i` is this worker's alone,
+                    // so `slots[i]` has no other reference.
                     let slot = unsafe { &mut *slots.0.add(i) };
                     if stalled[i] {
                         *slot = PhaseTotals::default();

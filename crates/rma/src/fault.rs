@@ -148,7 +148,7 @@ impl XorShift {
 /// The splitmix64 finalizer: a full-avalanche bijection on `u64`, used to
 /// turn a structured key into an independent-looking draw.
 #[inline]
-fn mix64(mut z: u64) -> u64 {
+pub(crate) fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)

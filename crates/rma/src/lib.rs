@@ -34,6 +34,9 @@
 // `unwrap()` is banned in non-test code (clippy `disallowed-methods`, see
 // clippy.toml): use `expect` naming the invariant, or propagate the error.
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+// Every `unsafe` block and impl states why it is sound in a `// SAFETY:`
+// comment; the existing clippy CI step enforces it.
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod async_exec;
 pub mod executor;

@@ -124,10 +124,10 @@ impl WorkerPool {
                 .lock()
                 .expect("a pool worker panicked while holding the state lock");
             shared.cursor.store(0, Ordering::Relaxed);
+            let ptr: *const (dyn Fn(usize) + Sync) = task;
             // SAFETY: we erase the lifetime, then block below until every
             // worker reports done, which happens-after its last use of the
             // pointer (the `done` increment is made under the same mutex).
-            let ptr: *const (dyn Fn(usize) + Sync) = task;
             st.task = Some(TaskPtr(unsafe {
                 std::mem::transmute::<
                     *const (dyn Fn(usize) + Sync),

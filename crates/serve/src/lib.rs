@@ -237,8 +237,7 @@ impl SolveService {
     ) -> TenantId {
         let n = a.nrows();
         self.make_room();
-        let session =
-            TenantSession::build(method, a.clone(), b, x0, partition, opts, Some(&self.pool));
+        let session = TenantSession::build(method, &a, b, x0, partition, opts, Some(&self.pool));
         self.clock += 1;
         self.tenants.push(TenantSlot {
             session: Some(session),
@@ -297,7 +296,7 @@ impl SolveService {
         let slot = &mut self.tenants[t];
         slot.session = Some(TenantSession::build(
             slot.method,
-            slot.a.clone(),
+            &slot.a,
             &slot.last_b,
             &slot.last_x,
             &slot.partition,

@@ -218,8 +218,7 @@ fn session_and_panel_solves_equal_run_method() {
                         whole.diverged
                     );
 
-                    let mut session =
-                        TenantSession::build(method, a.clone(), &b, &x0, &part, &o, None);
+                    let mut session = TenantSession::build(method, &a, &b, &x0, &part, &o, None);
                     let solved = session.solve(&b);
                     assert_eq!(
                         Print::of(&whole, true),
@@ -227,8 +226,7 @@ fn session_and_panel_solves_equal_run_method() {
                         "{tag}: session"
                     );
 
-                    let mut session =
-                        TenantSession::build(method, a.clone(), &b, &x0, &part, &o, None);
+                    let mut session = TenantSession::build(method, &a, &b, &x0, &part, &o, None);
                     let panel = session.solve_panel(std::slice::from_ref(&b), None);
                     assert_eq!(panel.len(), 1);
                     assert_eq!(

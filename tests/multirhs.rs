@@ -74,7 +74,7 @@ fn warmed_session(
     part: &Partition,
     o: &DistOptions,
 ) -> TenantSession {
-    let mut s = TenantSession::build(method, a.clone(), b, x0, part, o, None);
+    let mut s = TenantSession::build(method, a, b, x0, part, o, None);
     s.solve(b);
     s
 }

@@ -155,7 +155,7 @@ fn run_solo(jobs: usize) -> Vec<Vec<ReportPrint>> {
         .map(|&(method, phase)| {
             let mut session = TenantSession::build(
                 method,
-                a.clone(),
+                &a,
                 &rhs(n, phase, 0),
                 &vec![0.0; n],
                 &part,

@@ -22,10 +22,11 @@
 //! recomputes eagerly, which the proptest checks bitwise.
 
 use distributed_southwell::core::dist::{
-    DistOptions, DistReport, ExecBackend, Method, MonitorMode, TenantSession,
+    DistOptions, DistReport, DsConfig, ExecBackend, Method, MonitorMode, RecoveryConfig,
+    Redundancy, Session, TenantSession,
 };
 use distributed_southwell::partition::Partition;
-use distributed_southwell::rma::ExecMode;
+use distributed_southwell::rma::{AsyncOptions, ChaosConfig, ExecMode};
 use distributed_southwell::sparse::{gen, vecops, CsrMatrix};
 use proptest::prelude::*;
 
@@ -96,7 +97,7 @@ proptest! {
 
         // Subject: solve k steps, then re-solve (same b) for k more.
         let mut subject = TenantSession::build(
-            method, a.clone(), &b, &x0, &part, &opts(mode, k), None,
+            method, &a, &b, &x0, &part, &opts(mode, k), None,
         );
         subject.begin_solve(&b);
         while !subject.step_batch(2) {}
@@ -107,7 +108,7 @@ proptest! {
 
         // Reference: one uninterrupted 2k-step run.
         let mut reference = TenantSession::build(
-            method, a.clone(), &b, &x0, &part, &opts(mode, 2 * k), None,
+            method, &a, &b, &x0, &part, &opts(mode, 2 * k), None,
         );
         let continued = reference.solve(&b);
 
@@ -153,7 +154,7 @@ proptest! {
         let n = a.nrows();
 
         let mut session = TenantSession::build(
-            method, a.clone(), &b, &x0, &part, &opts(mode, k), None,
+            method, &a, &b, &x0, &part, &opts(mode, k), None,
         );
         session.begin_solve(&b);
         while !session.step_batch(2) {}
@@ -291,7 +292,7 @@ fn norm_cache_requires_invalidation_after_out_of_band_mutation() {
     let (a, b, x0, part) = problem(3);
     let session = TenantSession::build(
         Method::DistributedSouthwell,
-        a,
+        &a,
         &b,
         &x0,
         &part,
@@ -344,7 +345,7 @@ fn warm_start_reconverges_faster() {
     };
     let mut session = TenantSession::build(
         Method::DistributedSouthwell,
-        a,
+        &a,
         &b1,
         &x0,
         &part,
@@ -361,4 +362,81 @@ fn warm_start_reconverges_faster() {
         warm_steps < cold_steps,
         "warm ({warm_steps}) must beat cold ({cold_steps})"
     );
+}
+
+/// The warm-start preconditions: building a session under options that
+/// break any one of them panics, with the message of the one check that
+/// guards it.
+#[test]
+fn build_rejects_each_broken_warm_start_precondition() {
+    let (a, b, x0, part) = problem(3);
+    let base = opts(ExecMode::Sequential, 10);
+    let ds = base.ds_config;
+    let cases: [(&str, DistOptions, &str); 5] = [
+        (
+            "async backend",
+            DistOptions {
+                backend: ExecBackend::Async(AsyncOptions::default()),
+                ..base
+            },
+            "warm-start solves require the superstep backend",
+        ),
+        (
+            "chaos",
+            DistOptions {
+                chaos: ChaosConfig {
+                    drop_rate: 0.1,
+                    ..ChaosConfig::none()
+                },
+                ..base
+            },
+            "warm-start solves require a reliable transport (chaos off)",
+        ),
+        (
+            "coded redundancy",
+            DistOptions {
+                redundancy: Some(Redundancy::new(2)),
+                ..base
+            },
+            "warm-start solves do not support coded redundancy",
+        ),
+        (
+            "solve-message threshold",
+            DistOptions {
+                ds_config: DsConfig {
+                    solve_msg_threshold: 0.5,
+                    ..ds
+                },
+                ..base
+            },
+            "warm-start solves require unbuffered solve messages (solve_msg_threshold == 0)",
+        ),
+        (
+            "recovery",
+            DistOptions {
+                ds_config: DsConfig {
+                    recovery: RecoveryConfig::standard(),
+                    ..ds
+                },
+                ..base
+            },
+            "warm-start solves require the recovery layer off",
+        ),
+    ];
+    for (name, o, expected) in cases {
+        let payload = std::panic::catch_unwind(|| {
+            TenantSession::build(Method::DistributedSouthwell, &a, &b, &x0, &part, &o, None)
+        })
+        .err()
+        .unwrap_or_else(|| panic!("{name}: build accepted a broken precondition"));
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(
+            msg.contains(expected),
+            "{name}: panic message {msg:?} does not contain {expected:?}"
+        );
+    }
 }
