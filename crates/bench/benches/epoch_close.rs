@@ -30,7 +30,13 @@ use common::{
 };
 use criterion::{criterion_group, criterion_main, record_metric, Criterion};
 use dsw_partition::{partition_multilevel, Graph, MultilevelOptions};
-use dsw_rma::{CloseMode, CostModel, ExecMode, Executor, RankAlgorithm};
+use dsw_rma::{CostModel, ExecMode, Executor, RankAlgorithm};
+
+/// The two close placements each row is measured under, as
+/// parallel-close thresholds: `u64::MAX` keeps every close on the calling
+/// thread, `0` pools every close (on a pool of ≥ 2 workers; a 1-worker
+/// pool closes serially either way).
+const CLOSES: [(&str, u64); 2] = [("serial", u64::MAX), ("parallel", 0)];
 
 const GROUP: &str = "epoch_close";
 
@@ -38,16 +44,13 @@ fn bench_routing_micro(c: &mut Criterion, nworkers: usize) {
     let mut group = c.benchmark_group(GROUP);
     group.sample_size(20);
     for p in [512usize, 2048, 4096] {
-        for (tag, close) in [
-            ("serial", CloseMode::Serial),
-            ("parallel", CloseMode::Parallel),
-        ] {
+        for (tag, close) in CLOSES {
             let mut ex = Executor::new(
                 grid_route(p),
                 CostModel::default(),
                 ExecMode::Threaded(nworkers),
             );
-            ex.set_close_mode(close);
+            ex.set_parallel_close_threshold(close);
             for _ in 0..3 {
                 ex.step();
             }
@@ -70,10 +73,7 @@ fn bench_solvers(c: &mut Criterion, nworkers: usize) {
         let part = partition_multilevel(&g, p, MultilevelOptions::default());
         let sys = SolverSystem::new(&a, &b, &x0, &part);
         for name in SOLVERS {
-            for (tag, close) in [
-                ("serial", CloseMode::Serial),
-                ("parallel", CloseMode::Parallel),
-            ] {
+            for (tag, close) in CLOSES {
                 let id = format!("{name}_step_{tag}_{p}");
                 match sys.build(name) {
                     BuiltRanks::Ds(ranks) => {
@@ -97,10 +97,10 @@ fn run_solver_bench<A: RankAlgorithm>(
     id: &str,
     ranks: Vec<A>,
     nworkers: usize,
-    close: CloseMode,
+    close: u64,
 ) {
     let mut ex = Executor::new(ranks, CostModel::default(), ExecMode::Threaded(nworkers));
-    ex.set_close_mode(close);
+    ex.set_parallel_close_threshold(close);
     for _ in 0..WARMUP_STEPS {
         ex.step();
     }

@@ -16,7 +16,7 @@ use criterion::{criterion_group, criterion_main, record_metric, Criterion};
 use dsw_bench::experiments::redundancy::{GATE_R, LAG, STALL_SKEW, TARGET};
 use dsw_bench::harness::{setup_problem, suite_partition};
 use dsw_core::dist::{run_method, DistOptions, ExecBackend, Method, Redundancy};
-use dsw_rma::AsyncOptions;
+use dsw_rma::{AsyncOptions, CommClass};
 use dsw_sparse::gen;
 
 fn bench_redundancy(c: &mut Criterion) {
@@ -69,7 +69,7 @@ fn bench_redundancy(c: &mut Criterion) {
         record_metric(
             "redundancy",
             &format!("r{r}_msgs_redundancy"),
-            rep.stats.total_msgs_redundancy() as f64,
+            rep.stats.msgs_by_class().of(CommClass::Redundancy) as f64,
         );
         record_metric(
             "redundancy",

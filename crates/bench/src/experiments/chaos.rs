@@ -8,7 +8,7 @@
 
 use crate::harness::{setup_problem, suite_partition, write_csv, ExperimentCtx};
 use dsw_core::dist::{run_method, DistOptions, DsConfig, Method, RecoveryConfig};
-use dsw_rma::ChaosConfig;
+use dsw_rma::{ChaosConfig, CommClass};
 use dsw_sparse::gen;
 
 /// One fault scenario of the sweep.
@@ -157,15 +157,16 @@ fn run_one(scenario: &Scenario, recovery: bool, ctx: &ExperimentCtx) -> ChaosRow
     );
     let last = rep.records.last().expect("at least the initial record");
     let comm = rep.stats.comm_cost();
+    let msgs_recovery = rep.stats.msgs_by_class().of(CommClass::Recovery);
     ChaosRow {
         scenario: scenario.name,
         recovery,
         converged_at: rep.converged_at,
         final_residual: last.residual_norm,
         msgs: rep.stats.total_msgs(),
-        msgs_recovery: rep.stats.total_msgs_recovery(),
+        msgs_recovery,
         recovery_time_share: if comm > 0.0 {
-            rep.stats.comm_cost_recovery() / comm
+            msgs_recovery as f64 / rep.stats.msgs_per_rank.len() as f64 / comm
         } else {
             0.0
         },

@@ -12,7 +12,7 @@
 
 use crate::harness::{fmt_or_dagger, setup_problem, suite_partition, write_csv, ExperimentCtx};
 use dsw_core::dist::{run_method, DistOptions, ExecBackend, Method, Redundancy};
-use dsw_rma::AsyncOptions;
+use dsw_rma::{AsyncOptions, CommClass};
 use dsw_sparse::gen;
 
 /// The sweep's convergence target (the paper's Table 2 rule).
@@ -96,8 +96,8 @@ fn run_one(r: usize, skew: f64, ctx: &ExperimentCtx) -> RedundancyRow {
         msgs: rep.stats.total_msgs(),
         msgs_solve: rep.stats.total_msgs_solve(),
         msgs_residual: rep.stats.total_msgs_residual(),
-        msgs_redundancy: rep.stats.total_msgs_redundancy(),
-        bytes_redundancy: rep.records.last().unwrap().bytes_redundancy,
+        msgs_redundancy: rep.stats.msgs_by_class().of(CommClass::Redundancy),
+        bytes_redundancy: rep.stats.bytes_by_class().of(CommClass::Redundancy),
         reconciled: rep.stale_discards,
         final_residual: rep.final_residual(),
         deadlocked: rep.deadlocked,

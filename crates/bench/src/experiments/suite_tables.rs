@@ -14,6 +14,7 @@
 
 use crate::harness::{fmt_or_dagger, setup_problem, suite_partition, write_csv, ExperimentCtx};
 use dsw_core::dist::{run_method, DistOptions, DistReport, Method};
+use dsw_rma::CommClass;
 use dsw_sparse::suite::suite;
 
 /// The three methods of the comparison, in the paper's column order.
@@ -173,8 +174,8 @@ pub fn table3(ctx: &ExperimentCtx, runs: &[SuiteRun]) {
                 let p = r.nranks as f64;
                 let solve = crossing_of(r, TARGET, |rec| rec.msgs_solve as f64 / p);
                 let res = crossing_of(r, TARGET, |rec| rec.msgs_residual as f64 / p);
-                let solve_b = crossing_of(r, TARGET, |rec| rec.bytes_solve as f64 / p);
-                let res_b = crossing_of(r, TARGET, |rec| rec.bytes_residual as f64 / p);
+                let solve_b = bytes_crossing_of(r, TARGET, CommClass::Solve);
+                let res_b = bytes_crossing_of(r, TARGET, CommClass::Residual);
                 (solve, res, solve_b, res_b)
             })
             .collect();
@@ -280,6 +281,29 @@ fn crossing_of(
 ) -> Option<f64> {
     dsw_core::history::interpolate_crossing(
         r.records.iter().map(|rec| (f(rec), rec.residual_norm)),
+        target,
+    )
+}
+
+/// Per-rank payload bytes of `class` expended to reach `target`. Record
+/// `i` is the prefix sum of the first `i` step tables, so the per-class
+/// byte volume at each record is rebuilt from `r.stats.steps`.
+fn bytes_crossing_of(r: &DistReport, target: f64, class: CommClass) -> Option<f64> {
+    assert_eq!(
+        r.records.len(),
+        r.stats.steps.len() + 1,
+        "one record per step"
+    );
+    let p = r.nranks as f64;
+    let mut bytes = 0;
+    let per_record = std::iter::once(0).chain(r.stats.steps.iter().map(|s| {
+        bytes += s.bytes.of(class);
+        bytes
+    }));
+    dsw_core::history::interpolate_crossing(
+        per_record
+            .zip(&r.records)
+            .map(|(b, rec)| (b as f64 / p, rec.residual_norm)),
         target,
     )
 }

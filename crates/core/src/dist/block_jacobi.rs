@@ -732,7 +732,11 @@ mod tests {
             let s = ex.step();
             assert_eq!(s.active_ranks, 5);
             assert_eq!(s.relaxations, n as u64);
-            assert_eq!(s.msgs_residual, 0, "BJ never sends explicit updates");
+            assert_eq!(
+                s.msgs.of(CommClass::Residual),
+                0,
+                "BJ never sends explicit updates"
+            );
         }
         assert!((ex.stats.mean_active_fraction() - 1.0).abs() < 1e-15);
     }

@@ -769,7 +769,7 @@ mod tests {
         let mut checked = 0;
         for step in 0..80 {
             let s = ex.step();
-            if s.msgs_residual != 0 {
+            if s.msgs.of(CommClass::Residual) != 0 {
                 continue;
             }
             checked += 1;
@@ -949,7 +949,7 @@ mod tests {
         let mut frozen = false;
         for _ in 0..500 {
             let s = ex.step();
-            if s.relaxations == 0 && s.msgs == 0 && global_norm(&ex, &a, &b) > 1e-6 {
+            if s.relaxations == 0 && s.msgs.total() == 0 && global_norm(&ex, &a, &b) > 1e-6 {
                 frozen = true;
                 break;
             }
@@ -979,7 +979,7 @@ mod tests {
             assert_eq!(r.stale_discards, 0, "rank {}", r.ls.rank);
         }
         assert!(
-            ex.stats.total_msgs_recovery() > 0,
+            ex.stats.msgs_by_class().of(CommClass::Recovery) > 0,
             "periodic audits should have been sent"
         );
         // The protocol still works: maintained residuals stay exact.
@@ -1017,10 +1017,7 @@ mod tests {
         }
         // Sequencing never changes what is sent, only how it is framed.
         assert_eq!(plain.stats.total_msgs(), seq.stats.total_msgs());
-        let (pb, sb): (u64, u64) = (
-            plain.stats.steps.iter().map(|s| s.bytes).sum(),
-            seq.stats.steps.iter().map(|s| s.bytes).sum(),
-        );
+        let (pb, sb) = (plain.stats.total_bytes(), seq.stats.total_bytes());
         assert_eq!(sb, pb + 8 * seq.stats.total_msgs());
     }
 

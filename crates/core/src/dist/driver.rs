@@ -11,8 +11,8 @@ use super::session::{SolveSession, TenantSession, WarmStart};
 use crate::history::interpolate_crossing;
 use dsw_partition::{Partition, Redundancy, ReplicaMap};
 use dsw_rma::{
-    AsyncExecutor, AsyncOptions, ChaosConfig, CostModel, ExecMode, Executor, MonitorStats,
-    RankAlgorithm, RedundantHost, RunStats, StepStats,
+    AsyncExecutor, AsyncOptions, ChaosConfig, CommClass, CostModel, ExecMode, Executor,
+    MonitorStats, RankAlgorithm, RedundantHost, RunStats, StepStats,
 };
 use dsw_sparse::CsrMatrix;
 use std::time::Instant;
@@ -452,6 +452,11 @@ where
 }
 
 /// One row of the per-step record (all counters cumulative).
+///
+/// Record `i` of a report is the prefix sum of the first `i` entries of
+/// its `stats.steps`, so the full per-class counts at any record follow
+/// from those [`StepStats`] tables; the record keeps only the columns of
+/// the paper's Tables 2 and 3.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepRecord {
     /// Parallel step index (0 = initial state).
@@ -466,26 +471,8 @@ pub struct StepRecord {
     pub msgs_solve: u64,
     /// Cumulative explicit-residual messages.
     pub msgs_residual: u64,
-    /// Cumulative recovery messages (audits, watchdog rebroadcasts).
-    pub msgs_recovery: u64,
-    /// Cumulative redundancy messages (replica fan-out copies of coded
-    /// placements; zero on uncoded runs).
-    pub msgs_redundancy: u64,
-    /// Cumulative transfer messages (inter-level grid transfers of the
-    /// distributed multigrid cycle; zero outside multigrid runs).
-    pub msgs_transfer: u64,
     /// Cumulative modelled payload bytes (all classes).
     pub bytes: u64,
-    /// Cumulative solve-class payload bytes.
-    pub bytes_solve: u64,
-    /// Cumulative explicit-residual payload bytes.
-    pub bytes_residual: u64,
-    /// Cumulative recovery payload bytes.
-    pub bytes_recovery: u64,
-    /// Cumulative redundancy payload bytes (replica fan-out copies).
-    pub bytes_redundancy: u64,
-    /// Cumulative transfer payload bytes (inter-level grid transfers).
-    pub bytes_transfer: u64,
     /// Cumulative modelled wall-clock seconds.
     pub time: f64,
     /// Ranks that relaxed in this step.
@@ -560,44 +547,6 @@ impl DistReport {
     /// Modelled payload volume per rank, bytes (all classes).
     pub fn byte_cost(&self) -> f64 {
         self.last_record().bytes as f64 / self.nranks as f64
-    }
-
-    /// Solve-class payload volume per rank, bytes.
-    pub fn byte_cost_solve(&self) -> f64 {
-        self.last_record().bytes_solve as f64 / self.nranks as f64
-    }
-
-    /// Explicit-residual payload volume per rank, bytes.
-    pub fn byte_cost_residual(&self) -> f64 {
-        self.last_record().bytes_residual as f64 / self.nranks as f64
-    }
-
-    /// Recovery payload volume per rank, bytes.
-    pub fn byte_cost_recovery(&self) -> f64 {
-        self.last_record().bytes_recovery as f64 / self.nranks as f64
-    }
-
-    /// Redundancy payload volume per rank, bytes (replica fan-out copies;
-    /// zero on uncoded runs).
-    pub fn byte_cost_redundancy(&self) -> f64 {
-        self.last_record().bytes_redundancy as f64 / self.nranks as f64
-    }
-
-    /// Redundancy messages per rank (the coded placement's overhead in the
-    /// paper's communication metric).
-    pub fn comm_cost_redundancy(&self) -> f64 {
-        self.last_record().msgs_redundancy as f64 / self.nranks as f64
-    }
-
-    /// Transfer payload volume per rank, bytes (inter-level grid
-    /// transfers; zero outside distributed multigrid runs).
-    pub fn byte_cost_transfer(&self) -> f64 {
-        self.last_record().bytes_transfer as f64 / self.nranks as f64
-    }
-
-    /// Transfer messages per rank (inter-level grid transfers).
-    pub fn comm_cost_transfer(&self) -> f64 {
-        self.last_record().msgs_transfer as f64 / self.nranks as f64
     }
 
     /// Mean fraction of active ranks per executed step.
@@ -928,7 +877,7 @@ impl<R: RankAlgorithm> StepBackend<R> for Executor<R> {
         Boundary {
             stats: s,
             relaxed: s.relaxations,
-            idle: s.relaxations == 0 && s.msgs == 0 && s.faults.stalled_ranks == 0,
+            idle: s.relaxations == 0 && s.msgs.total() == 0 && s.faults.stalled_ranks == 0,
             last: false,
         }
     }
@@ -970,11 +919,9 @@ impl<R: RankAlgorithm> AsyncBackend<R> {
         opts: &DistOptions,
         lag_groups: Option<Vec<Vec<u32>>>,
     ) -> Self {
-        let nphases = ranks[0].phases();
-        let mut ex = match AsyncExecutor::with_chaos(ranks, aopts, opts.chaos) {
-            Ok(ex) => ex,
-            Err(e) => panic!("ExecBackend::Async: {e}"),
-        };
+        let mut ex = AsyncExecutor::with_chaos(ranks, aopts, opts.chaos)
+            .unwrap_or_else(|e| panic!("ExecBackend::Async: {e}"));
+        let nphases = ex.ranks()[0].phases();
         // Under a coded placement the replica sets progress as logical
         // owners: the lag bound and the run goal track each block's
         // freshest replica, so a replica-covered straggler no longer gates
@@ -1029,7 +976,7 @@ impl<R: RankAlgorithm> StepBackend<R> for AsyncBackend<R> {
             .last()
             .expect("tick pushes a step record");
         self.window_relax += s.relaxations;
-        self.window_msgs += s.msgs;
+        self.window_msgs += s.msgs.total();
         let clocks = self.ex.logical_clocks();
         let last = clocks.iter().all(|&c| c >= self.goal);
         let swept = clocks
@@ -1311,15 +1258,7 @@ fn initial_record(initial: f64) -> StepRecord {
         msgs: 0,
         msgs_solve: 0,
         msgs_residual: 0,
-        msgs_recovery: 0,
-        msgs_redundancy: 0,
-        msgs_transfer: 0,
         bytes: 0,
-        bytes_solve: 0,
-        bytes_residual: 0,
-        bytes_recovery: 0,
-        bytes_redundancy: 0,
-        bytes_transfer: 0,
         time: 0.0,
         active_ranks: 0,
         compute_ns: 0,
@@ -1342,18 +1281,10 @@ fn push_record(
         step,
         residual_norm: norm,
         relaxations: prev.relaxations + s.relaxations,
-        msgs: prev.msgs + s.msgs,
-        msgs_solve: prev.msgs_solve + s.msgs_solve,
-        msgs_residual: prev.msgs_residual + s.msgs_residual,
-        msgs_recovery: prev.msgs_recovery + s.msgs_recovery,
-        msgs_redundancy: prev.msgs_redundancy + s.msgs_redundancy,
-        msgs_transfer: prev.msgs_transfer + s.msgs_transfer,
-        bytes: prev.bytes + s.bytes,
-        bytes_solve: prev.bytes_solve + s.bytes_solve,
-        bytes_residual: prev.bytes_residual + s.bytes_residual,
-        bytes_recovery: prev.bytes_recovery + s.bytes_recovery,
-        bytes_redundancy: prev.bytes_redundancy + s.bytes_redundancy,
-        bytes_transfer: prev.bytes_transfer + s.bytes_transfer,
+        msgs: prev.msgs + s.msgs.total(),
+        msgs_solve: prev.msgs_solve + s.msgs.of(CommClass::Solve),
+        msgs_residual: prev.msgs_residual + s.msgs.of(CommClass::Residual),
+        bytes: prev.bytes + s.bytes.total(),
         time: prev.time + s.time,
         active_ranks: s.active_ranks,
         compute_ns: prev.compute_ns + s.compute_ns,
@@ -1454,18 +1385,16 @@ mod tests {
         let opts = DistOptions::default();
         let rep = run_method(Method::DistributedSouthwell, &a, &b, &x0, &part, &opts);
         let last = rep.records.last().unwrap();
-        assert_eq!(
-            last.msgs,
-            last.msgs_solve + last.msgs_residual + last.msgs_recovery + last.msgs_redundancy
-        );
+        let (msgs, bytes) = (rep.stats.msgs_by_class(), rep.stats.bytes_by_class());
+        assert_eq!(last.msgs, msgs.total());
+        assert_eq!(msgs.of(CommClass::Transfer), 0);
         assert_eq!(rep.stats.total_msgs(), last.msgs);
-        assert_eq!(
-            last.bytes,
-            last.bytes_solve + last.bytes_residual + last.bytes_recovery + last.bytes_redundancy
-        );
+        assert_eq!(last.bytes, bytes.total());
+        assert_eq!(bytes.of(CommClass::Transfer), 0);
         assert_eq!(rep.stats.total_bytes(), last.bytes);
         assert_eq!(
-            last.msgs_redundancy, 0,
+            msgs.of(CommClass::Redundancy),
+            0,
             "uncoded runs have no redundancy traffic"
         );
         assert!(last.bytes > 0, "messages carry payload bytes");
@@ -1521,7 +1450,7 @@ mod tests {
             healed.deadlocked
         );
         assert!(healed.watchdog_nudges > 0);
-        assert!(healed.stats.total_msgs_recovery() > 0);
+        assert!(healed.stats.msgs_by_class().of(CommClass::Recovery) > 0);
     }
 
     #[test]
@@ -1576,10 +1505,9 @@ mod tests {
             let last = rep.records.last().unwrap();
             assert!(last.msgs_solve > 0, "{}", m.label());
             assert!(last.bytes > 0);
-            assert_eq!(
-                last.msgs,
-                last.msgs_solve + last.msgs_residual + last.msgs_recovery + last.msgs_redundancy
-            );
+            let msgs = rep.stats.msgs_by_class();
+            assert_eq!(last.msgs, msgs.total());
+            assert_eq!(msgs.of(CommClass::Transfer), 0);
             assert_eq!(rep.stats.total_msgs(), last.msgs);
             let mon = rep.monitor_stats();
             assert!(mon.evals > 0, "maintained sums must drive the records");
@@ -1667,20 +1595,16 @@ mod tests {
                 rep.final_residual()
             );
             let last = rep.records.last().unwrap();
-            assert!(last.msgs_redundancy > 0, "replica fan-out must be counted");
-            assert!(last.bytes_redundancy > 0);
-            assert_eq!(
-                last.msgs,
-                last.msgs_solve + last.msgs_residual + last.msgs_recovery + last.msgs_redundancy
+            let (msgs, bytes) = (rep.stats.msgs_by_class(), rep.stats.bytes_by_class());
+            assert!(
+                msgs.of(CommClass::Redundancy) > 0,
+                "replica fan-out must be counted"
             );
-            assert_eq!(
-                last.bytes,
-                last.bytes_solve
-                    + last.bytes_residual
-                    + last.bytes_recovery
-                    + last.bytes_redundancy
-            );
-            assert!(rep.byte_cost_redundancy() > 0.0);
+            assert!(bytes.of(CommClass::Redundancy) > 0);
+            assert_eq!(last.msgs, msgs.total());
+            assert_eq!(msgs.of(CommClass::Transfer), 0);
+            assert_eq!(last.bytes, bytes.total());
+            assert_eq!(bytes.of(CommClass::Transfer), 0);
             assert!(
                 rep.stale_discards > 0,
                 "first-arrival reconciliation must discard replica copies"
@@ -1744,8 +1668,6 @@ mod tests {
                             r.msgs,
                             r.msgs_solve,
                             r.msgs_residual,
-                            r.msgs_recovery,
-                            r.msgs_redundancy,
                             r.bytes,
                             r.active_ranks,
                         )
@@ -1753,6 +1675,9 @@ mod tests {
                     .collect::<Vec<_>>()
             };
             assert_eq!(key(&r1), key(&r2));
+            let per_class =
+                |rep: &DistReport| rep.stats.steps.iter().map(|s| s.msgs).collect::<Vec<_>>();
+            assert_eq!(per_class(&r1), per_class(&r2));
             assert_eq!(r1.converged_at, r2.converged_at);
         }
     }
@@ -1787,7 +1712,7 @@ mod tests {
                 rep.final_residual()
             );
             assert!(!rep.deadlocked && !rep.diverged);
-            assert!(rep.records.last().unwrap().msgs_redundancy > 0);
+            assert!(rep.stats.msgs_by_class().of(CommClass::Redundancy) > 0);
             let again = run_method(m, &a, &b, &x0, &part, &opts);
             assert_eq!(rep.x, again.x, "{}", m.label());
             assert_eq!(rep.converged_at, again.converged_at);

@@ -77,12 +77,6 @@ impl SlotArena {
             .windows(2)
             .map(|w| &self.data[w[0] as usize..w[1] as usize])
     }
-
-    /// Total entries across all lists (the flat buffer length).
-    #[inline]
-    pub fn total_len(&self) -> usize {
-        self.data.len()
-    }
 }
 
 #[inline]
@@ -225,17 +219,6 @@ impl LocalSystem {
             .iter()
             .map(|&i| self.r[i as usize])
             .collect()
-    }
-
-    /// Gathers the values of `src` at the slots listed for neighbor `s` in
-    /// `arena` into the recycled `out` buffer (cleared first). The scratch
-    /// variant of [`LocalSystem::boundary_residuals`]-style gathers: hot
-    /// paths reuse one allocation per rank across epochs instead of
-    /// allocating a fresh `Vec` per message.
-    #[inline]
-    pub fn gather_slots(arena: &SlotArena, s: usize, src: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(arena[s].iter().map(|&i| src[i as usize]));
     }
 }
 

@@ -295,11 +295,6 @@ impl<R: WarmStart> PanelRun<R> {
         self.cols.iter().all(|c| c.run.done)
     }
 
-    /// Columns still actively sweeping.
-    pub fn active_cols(&self) -> usize {
-        self.cols.iter().filter(|c| !c.run.done).count()
-    }
-
     /// One blocked exact verification over every column in `need_exact`:
     /// interleave the iterates row-major, one `spmv_panel`, per-column
     /// ordered norm reduction. Bit-identical per column to the scalar

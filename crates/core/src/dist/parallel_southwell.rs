@@ -386,7 +386,7 @@ mod tests {
         let mut frozen = false;
         for _ in 0..500 {
             let s = ex.step();
-            if s.relaxations == 0 && s.msgs == 0 {
+            if s.relaxations == 0 && s.msgs.total() == 0 {
                 frozen = true;
                 break;
             }
@@ -404,7 +404,7 @@ mod tests {
                 return; // converged
             }
             assert!(
-                !(s.relaxations == 0 && s.msgs == 0),
+                !(s.relaxations == 0 && s.msgs.total() == 0),
                 "froze at residual {norm}"
             );
         }

@@ -923,8 +923,9 @@ mod tests {
             );
             // Transfers moved real messages on the substrate.
             let ep = ex.take_epoch();
-            assert!(ep.total_msgs_transfer() > 0);
-            assert_eq!(ep.total_msgs(), ep.total_msgs_transfer());
+            let transfer = ep.msgs_by_class().of(CommClass::Transfer);
+            assert!(transfer > 0);
+            assert_eq!(ep.total_msgs(), transfer);
         }
     }
 

@@ -100,9 +100,14 @@ pub struct AsyncExecutor<A: RankAlgorithm> {
 
 impl<A: RankAlgorithm> AsyncExecutor<A> {
     /// Creates an asynchronous executor.
+    ///
+    /// # Panics
+    ///
+    /// On the inputs [`with_chaos`](Self::with_chaos) rejects, with its
+    /// error text.
     pub fn new(ranks: Vec<A>, opts: AsyncOptions) -> Self {
         Self::with_chaos(ranks, opts, ChaosConfig::none())
-            .expect("a no-fault config is always accepted")
+            .unwrap_or_else(|e| panic!("AsyncExecutor::new: {e}"))
     }
 
     /// As [`new`](Self::new), with message fault injection (drops,
@@ -112,21 +117,29 @@ impl<A: RankAlgorithm> AsyncExecutor<A> {
     /// phases, mirroring the superstep executor's per-step draws), and a
     /// stalled rank executes no phase for the whole window while its
     /// pending messages keep accumulating.
+    ///
+    /// Returns `Err` on an empty rank set, an `advance_probability` or
+    /// `straggler_skew` outside `[0, 1]` (NaN included), `max_lag = 0`, or
+    /// an invalid `chaos` ([`ChaosConfig::validate`]).
     pub fn with_chaos(
         ranks: Vec<A>,
         opts: AsyncOptions,
         chaos: ChaosConfig,
     ) -> Result<Self, String> {
-        assert!(!ranks.is_empty(), "need at least one rank");
-        assert!(
-            (0.0..=1.0).contains(&opts.advance_probability),
-            "advance_probability must be a probability"
-        );
-        assert!(
-            (0.0..=1.0).contains(&opts.straggler_skew),
-            "straggler_skew must be in [0, 1]"
-        );
-        assert!(opts.max_lag >= 1, "max_lag must be at least 1");
+        if ranks.is_empty() {
+            return Err("need at least one rank".into());
+        }
+        for (name, v) in [
+            ("advance_probability", opts.advance_probability),
+            ("straggler_skew", opts.straggler_skew),
+        ] {
+            if !(0.0..=1.0).contains(&v) {
+                return Err(format!("{name} must be in [0, 1], got {v}"));
+            }
+        }
+        if opts.max_lag == 0 {
+            return Err("max_lag must be at least 1".into());
+        }
         chaos.validate()?;
         let n = ranks.len();
         // The per-rank speed draw is independent of the scheduler's
@@ -343,7 +356,8 @@ impl<A: RankAlgorithm> AsyncExecutor<A> {
             self.stats.rank_time_ns[i] += wall_ns;
             step.compute_ns += wall_ns;
             step.compute_ns_max_rank = step.compute_ns_max_rank.max(wall_ns);
-            step.add_class_counts(&totals.msgs, &totals.bytes);
+            step.msgs.accumulate(&totals.msgs);
+            step.bytes.accumulate(&totals.bytes);
             step.flops += totals.flops;
             step.relaxations += totals.relaxations;
             step.active_ranks += u64::from(totals.active);
@@ -486,6 +500,114 @@ mod tests {
         assert!(ex.stats.rank_time_ns.iter().all(|&ns| ns > 0));
         assert!(ex.stats.total_compute_ns() > 0);
         assert!(ex.stats.total_span_ns() >= ex.stats.total_compute_ns() / 2);
+    }
+
+    #[test]
+    fn with_chaos_rejects_bad_input_with_err() {
+        let ring = |n: usize| -> Vec<Ring> { (0..n).map(|id| Ring { id, n, value: 1 }).collect() };
+        let ok = AsyncOptions::default();
+        let bad_chaos = ChaosConfig {
+            drop_rate: 1.5,
+            ..ChaosConfig::none()
+        };
+        let cases: [(&str, usize, AsyncOptions, ChaosConfig, &str); 9] = [
+            ("no ranks", 0, ok, ChaosConfig::none(), "at least one rank"),
+            (
+                "p > 1",
+                3,
+                AsyncOptions {
+                    advance_probability: 1.5,
+                    ..ok
+                },
+                ChaosConfig::none(),
+                "advance_probability",
+            ),
+            (
+                "p < 0",
+                3,
+                AsyncOptions {
+                    advance_probability: -0.1,
+                    ..ok
+                },
+                ChaosConfig::none(),
+                "advance_probability",
+            ),
+            (
+                "p NaN",
+                3,
+                AsyncOptions {
+                    advance_probability: f64::NAN,
+                    ..ok
+                },
+                ChaosConfig::none(),
+                "advance_probability",
+            ),
+            (
+                "skew > 1",
+                3,
+                AsyncOptions {
+                    straggler_skew: 2.0,
+                    ..ok
+                },
+                ChaosConfig::none(),
+                "straggler_skew",
+            ),
+            (
+                "skew NaN",
+                3,
+                AsyncOptions {
+                    straggler_skew: f64::NAN,
+                    ..ok
+                },
+                ChaosConfig::none(),
+                "straggler_skew",
+            ),
+            (
+                "max_lag 0",
+                3,
+                AsyncOptions { max_lag: 0, ..ok },
+                ChaosConfig::none(),
+                "max_lag",
+            ),
+            ("bad chaos", 3, ok, bad_chaos, "drop_rate"),
+            (
+                "NaN chaos",
+                3,
+                ok,
+                ChaosConfig {
+                    stall_rate: f64::NAN,
+                    ..ChaosConfig::none()
+                },
+                "stall_rate",
+            ),
+        ];
+        for (tag, n, opts, chaos, needle) in cases {
+            match AsyncExecutor::with_chaos(ring(n), opts, chaos) {
+                Ok(_) => panic!("{tag}: accepted"),
+                Err(e) => assert!(e.contains(needle), "{tag}: {e}"),
+            }
+        }
+        // The boundaries themselves are valid.
+        let edge = AsyncOptions {
+            advance_probability: 1.0,
+            straggler_skew: 1.0,
+            max_lag: 1,
+            ..ok
+        };
+        assert!(AsyncExecutor::with_chaos(ring(3), edge, ChaosConfig::none()).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "AsyncExecutor::new: max_lag must be at least 1")]
+    fn new_panics_with_the_error_text() {
+        let ranks: Vec<Ring> = (0..3).map(|id| Ring { id, n: 3, value: 1 }).collect();
+        AsyncExecutor::new(
+            ranks,
+            AsyncOptions {
+                max_lag: 0,
+                ..AsyncOptions::default()
+            },
+        );
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! sort is needed on the fault-free path. Because distinct targets touch
 //! disjoint buckets, inboxes, and delayed queues, the close runs either on
 //! the calling thread (one chunk of targets) or chunked across the worker
-//! pool ([`CloseMode`]), folding the per-rank counters and the
-//! modelled-time reduction in the same pass.
+//! pool ([`Executor::set_parallel_close_threshold`]), folding the per-rank
+//! counters and the modelled-time reduction in the same pass.
 //!
 //! Serial or pooled, at any worker count or grain, the close produces
 //! bit-identical results: fault fates are pure functions of
@@ -321,24 +321,6 @@ pub enum ExecMode {
     Threaded(usize),
 }
 
-/// How the executor closes epochs (routes the phase's puts into inboxes).
-///
-/// Every mode produces bit-identical results; this knob only chooses
-/// *where* the routing work runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CloseMode {
-    /// Close on the worker pool when it pays: the executor has a pool
-    /// with ≥ 2 workers, tracing is off, and the phase's message volume
-    /// clears [`Executor::set_parallel_close_threshold`]. Serial otherwise.
-    #[default]
-    Auto,
-    /// Always close on the calling thread, as one chunk of targets.
-    Serial,
-    /// Close on the worker pool whenever one is present and tracing is
-    /// off, regardless of volume.
-    Parallel,
-}
-
 /// A put whose delivery was deferred by fault injection, parked in its
 /// target's delayed queue.
 struct DelayedEnv<M> {
@@ -471,9 +453,8 @@ pub struct Executor<A: RankAlgorithm> {
     worker_busy_seen: Vec<u64>,
     model: CostModel,
     mode: ExecMode,
-    close_mode: CloseMode,
-    /// Minimum phase message volume before [`CloseMode::Auto`] dispatches
-    /// the close to the pool.
+    /// Minimum phase message volume before the close is dispatched to the
+    /// pool (see [`Executor::set_parallel_close_threshold`]).
     parallel_close_min_msgs: u64,
     /// Fault decisions (drops / duplicates / delays / stalls).
     injector: FaultInjector,
@@ -574,7 +555,6 @@ impl<A: RankAlgorithm> Executor<A> {
             worker_busy_seen: vec![0; nworkers],
             model,
             mode,
-            close_mode: CloseMode::Auto,
             parallel_close_min_msgs: 256,
             epochs_executed: 0,
             trace: None,
@@ -623,20 +603,14 @@ impl<A: RankAlgorithm> Executor<A> {
         self.grain = Some(grain);
     }
 
-    /// Chooses where epoch closes run (see [`CloseMode`]). Results are
-    /// bit-identical in every mode.
-    pub fn set_close_mode(&mut self, mode: CloseMode) {
-        self.close_mode = mode;
-    }
-
-    /// The close strategy in force.
-    pub fn close_mode(&self) -> CloseMode {
-        self.close_mode
-    }
-
-    /// Minimum per-phase message volume before [`CloseMode::Auto`]
-    /// dispatches the close to the pool (default 256 — below that the
-    /// pool's wake/quiesce latency outweighs the routing work).
+    /// Minimum per-phase message volume before the epoch close runs on
+    /// the worker pool (default 256 — below that the pool's wake/quiesce
+    /// latency outweighs the routing work). The close is pooled when the
+    /// executor has a pool of ≥ 2 workers, tracing is off, and the phase's
+    /// message volume reaches this threshold; it runs on the calling
+    /// thread otherwise. `0` pools every close a ≥ 2-worker pool can take,
+    /// `u64::MAX` keeps every close serial. Results are bit-identical
+    /// either way.
     pub fn set_parallel_close_threshold(&mut self, msgs: u64) {
         self.parallel_close_min_msgs = msgs;
     }
@@ -654,7 +628,7 @@ impl<A: RankAlgorithm> Executor<A> {
 
     /// Starts logging every delivered message (up to `capacity` events)
     /// into [`Executor::trace`]. Tracing serializes the epoch close (the
-    /// log is ordered), so it overrides [`CloseMode::Parallel`].
+    /// log is ordered).
     pub fn enable_trace(&mut self, capacity: usize) {
         self.trace = Some(crate::trace::Trace::new(capacity));
     }
@@ -706,7 +680,7 @@ impl<A: RankAlgorithm> Executor<A> {
     /// deferred puts whose delay expired; and skips the compute phases of
     /// stalled ranks (their inboxes keep accumulating until they resume).
     /// Fates are pure functions of per-message keys, so the fault pattern
-    /// is identical under every [`ExecMode`] and [`CloseMode`].
+    /// is identical under every [`ExecMode`] and close placement.
     pub fn step(&mut self) -> StepStats {
         let nphases = self.ranks[0].phases();
         debug_assert!(
@@ -759,7 +733,8 @@ impl<A: RankAlgorithm> Executor<A> {
     /// the modelled clock.
     fn apply_phase_partial(&self, ph: &ClosePartial, step: &mut StepStats) {
         step.faults.accumulate(&ph.faults);
-        step.add_class_counts(&ph.msgs, &ph.bytes);
+        step.msgs.accumulate(&ph.msgs);
+        step.bytes.accumulate(&ph.bytes);
         step.flops += ph.flops;
         step.relaxations += ph.relaxations;
         step.active_ranks += ph.active;
@@ -776,25 +751,20 @@ impl<A: RankAlgorithm> Executor<A> {
 
     /// The target-major close over the reverse-neighbor index: each target
     /// drains its senders' buckets in origin order. Runs on the calling
-    /// thread or chunked across the worker pool ([`CloseMode`]); both
-    /// produce bit-identical results because distinct targets touch
-    /// disjoint state and chunk partials combine exactly.
+    /// thread or chunked across the worker pool (see
+    /// [`Executor::set_parallel_close_threshold`]); both produce
+    /// bit-identical results because distinct targets touch disjoint
+    /// state and chunk partials combine exactly.
     fn close(&mut self, phase: usize, stalled: &[bool], step: &mut StepStats) {
         let n = self.ranks.len();
-        let use_pool = match self.close_mode {
-            CloseMode::Serial => false,
-            CloseMode::Parallel => self.pool.is_some() && self.trace.is_none(),
-            CloseMode::Auto => {
-                self.pool.as_ref().is_some_and(|p| p.nworkers() >= 2)
-                    && self.trace.is_none()
-                    && self
-                        .phase_totals
-                        .iter()
-                        .map(|t| t.msgs.total())
-                        .sum::<u64>()
-                        >= self.parallel_close_min_msgs
-            }
-        };
+        let use_pool = self.pool.as_ref().is_some_and(|p| p.nworkers() >= 2)
+            && self.trace.is_none()
+            && self
+                .phase_totals
+                .iter()
+                .map(|t| t.msgs.total())
+                .sum::<u64>()
+                >= self.parallel_close_min_msgs;
         let nchunks = if use_pool {
             let pool = self.pool.as_ref().expect("use_pool implies a pool");
             (pool.nworkers() * 4).min(n)
@@ -1180,7 +1150,7 @@ mod tests {
         let s1 = ex.step();
         // Nothing was in flight during the first step's phase 0.
         assert!(ex.ranks()[0].received_this_phase.is_empty());
-        assert_eq!(s1.msgs, 3);
+        assert_eq!(s1.msgs.total(), 3);
         let _s2 = ex.step();
         // Now each rank saw exactly the value its left neighbor sent.
         assert_eq!(ex.ranks()[1].received_this_phase, vec![1]);
@@ -1234,26 +1204,26 @@ mod tests {
 
     #[test]
     fn close_modes_agree_bit_for_bit() {
-        // The close strategy is a pure scheduling knob: Serial, Parallel,
-        // and Auto (with a zero threshold, forcing the pool at this tiny
-        // size) must all match the sequential reference.
+        // Where the close runs is pure scheduling: the serial close
+        // (`u64::MAX` threshold) and the pooled close (zero threshold,
+        // forcing the pool at this tiny size) must both match the
+        // sequential reference.
         let mut reference = Executor::new(ring(13), CostModel::default(), ExecMode::Sequential);
         for _ in 0..6 {
             reference.step();
         }
         let vref: Vec<u64> = reference.ranks().iter().map(|r| r.value).collect();
-        for close in [CloseMode::Serial, CloseMode::Parallel, CloseMode::Auto] {
+        for threshold in [u64::MAX, 0] {
             let mut ex = Executor::new(ring(13), CostModel::default(), ExecMode::Threaded(3));
-            ex.set_close_mode(close);
-            ex.set_parallel_close_threshold(0);
+            ex.set_parallel_close_threshold(threshold);
             for _ in 0..6 {
                 ex.step();
             }
             let v: Vec<u64> = ex.ranks().iter().map(|r| r.value).collect();
-            assert_eq!(v, vref, "{close:?}");
+            assert_eq!(v, vref, "threshold {threshold}");
             assert_eq!(ex.stats.msgs_per_rank, reference.stats.msgs_per_rank);
             for (sa, sb) in reference.stats.steps.iter().zip(&ex.stats.steps) {
-                assert_eq!(sa, sb, "{close:?}");
+                assert_eq!(sa, sb, "threshold {threshold}");
             }
         }
     }
@@ -1374,13 +1344,13 @@ mod tests {
         };
         let mut ex = Executor::new(ring(4), model, ExecMode::Sequential);
         let s = ex.step();
-        assert_eq!(s.msgs, 4);
-        assert_eq!(s.msgs_solve, 4);
-        assert_eq!(s.msgs_residual, 0);
-        assert_eq!(s.bytes, 32);
-        assert_eq!(s.bytes_solve, 32);
-        assert_eq!(s.bytes_residual, 0);
-        assert_eq!(s.bytes_recovery, 0);
+        assert_eq!(s.msgs.total(), 4);
+        assert_eq!(s.msgs.of(CommClass::Solve), 4);
+        assert_eq!(s.msgs.of(CommClass::Residual), 0);
+        assert_eq!(s.bytes.total(), 32);
+        assert_eq!(s.bytes.of(CommClass::Solve), 32);
+        assert_eq!(s.bytes.of(CommClass::Residual), 0);
+        assert_eq!(s.bytes.of(CommClass::Recovery), 0);
         assert_eq!(s.flops, 4);
         assert_eq!(s.active_ranks, 4);
         assert_eq!(s.relaxations, 4);
@@ -1527,7 +1497,7 @@ mod tests {
         for mode in [ExecMode::Sequential, ExecMode::Threaded(4)] {
             let ranks: Vec<AllToZero> = (0..9).map(|id| AllToZero { id, seen: vec![] }).collect();
             let mut ex = Executor::new(ranks, CostModel::default(), mode);
-            ex.set_close_mode(CloseMode::Parallel);
+            ex.set_parallel_close_threshold(0);
             ex.step();
             ex.step();
             assert_eq!(ex.ranks()[0].seen, (1..9).collect::<Vec<_>>());
@@ -1641,7 +1611,7 @@ mod tests {
                 })
                 .collect();
             let mut ex = Executor::with_chaos(ranks, CostModel::default(), mode, chaos);
-            ex.set_close_mode(CloseMode::Parallel);
+            ex.set_parallel_close_threshold(0);
             for _ in 0..5 {
                 ex.step();
             }
@@ -1692,7 +1662,7 @@ mod tests {
             Executor::with_chaos(ring(7), CostModel::default(), ExecMode::Threaded(3), chaos),
             Executor::with_chaos(ring(7), CostModel::default(), ExecMode::Threaded(3), chaos),
         ];
-        bs[1].set_close_mode(CloseMode::Parallel);
+        bs[1].set_parallel_close_threshold(0);
         for _ in 0..12 {
             let sa = a.step();
             for b in &mut bs {

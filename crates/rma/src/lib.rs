@@ -48,9 +48,7 @@ pub mod stats;
 pub mod trace;
 
 pub use async_exec::{AsyncExecutor, AsyncOptions, RunStepsResult};
-pub use executor::{
-    CaptureTotals, CloseMode, Envelope, ExecMode, Executor, PhaseCtx, RankAlgorithm,
-};
+pub use executor::{CaptureTotals, Envelope, ExecMode, Executor, PhaseCtx, RankAlgorithm};
 pub use fault::{ChaosConfig, Fate, FaultInjector};
 pub use panel::{
     FlushFn, FusedPhaseFn, PanelMsg, PanelPart, PanelPhaseCtx, PanelRank, PANEL_HEADER_BYTES,

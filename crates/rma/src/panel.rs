@@ -325,11 +325,6 @@ impl<A: RankAlgorithm> PanelRank<A> {
         self.col_msgs.fill(0);
         self.col_relax.fill(0);
     }
-
-    /// Consumes the panel, yielding the inner column ranks.
-    pub fn into_cols(self) -> Vec<A> {
-        self.cols
-    }
 }
 
 impl<A: RankAlgorithm> RankAlgorithm for PanelRank<A> {
@@ -532,7 +527,7 @@ mod tests {
             let mut ex = Executor::new(ring(n, c), CostModel::default(), ExecMode::Sequential);
             for _ in 0..steps {
                 let s = ex.step();
-                scalar_msgs += s.msgs;
+                scalar_msgs += s.msgs.total();
             }
             scalar_vals.push(ex.ranks().iter().map(|r| r.value).collect::<Vec<_>>());
         }
@@ -548,7 +543,7 @@ mod tests {
                 r.begin_step();
             }
             let s = ex.step();
-            fused_msgs += s.msgs;
+            fused_msgs += s.msgs.total();
         }
 
         for (c, expect) in scalar_vals.iter().enumerate() {

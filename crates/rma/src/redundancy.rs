@@ -195,30 +195,12 @@ impl<A: RankAlgorithm> RedundantHost<A> {
         }
     }
 
-    /// The physical rank this host runs as.
-    pub fn physical_rank(&self) -> usize {
-        self.rank
-    }
-
-    /// The logical blocks hosted here, ascending.
-    pub fn hosted_blocks(&self) -> Vec<usize> {
-        self.blocks.iter().map(|b| b.block).collect()
-    }
-
     /// The solver instance of hosted block `b`.
     pub fn solver_for(&self, b: usize) -> Option<&A> {
         self.blocks
             .binary_search_by_key(&b, |h| h.block)
             .ok()
             .map(|i| &self.blocks[i].solver)
-    }
-
-    /// Mutable access to the solver instance of hosted block `b`.
-    pub fn solver_for_mut(&mut self, b: usize) -> Option<&mut A> {
-        self.blocks
-            .binary_search_by_key(&b, |h| h.block)
-            .ok()
-            .map(move |i| &mut self.blocks[i].solver)
     }
 
     /// Iterates over `(block, solver)` pairs, ascending block order.
@@ -477,7 +459,7 @@ mod tests {
             plain.stats.total_msgs_solve(),
             coded.stats.total_msgs_solve()
         );
-        assert_eq!(coded.stats.total_msgs_redundancy(), 0);
+        assert_eq!(coded.stats.msgs_by_class().of(CommClass::Redundancy), 0);
         assert!(coded.ranks().iter().all(|h| h.reconciled() == 0));
         // Byte accounting rides through the wrapper unchanged.
         assert_eq!(plain.stats.total_bytes(), coded.stats.total_bytes());
@@ -519,7 +501,7 @@ mod tests {
         assert_eq!(received, 2 * (n as u64) * 7);
         // Every logical message generated one redundancy copy per extra
         // replica; some copies ride free on self-hosted targets.
-        assert!(ex.stats.total_msgs_redundancy() > 0);
+        assert!(ex.stats.msgs_by_class().of(CommClass::Redundancy) > 0);
         let reconciled: u64 = ex.ranks().iter().map(|h| h.reconciled()).sum();
         assert!(
             reconciled > 0,

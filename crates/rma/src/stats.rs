@@ -160,30 +160,10 @@ impl Default for CostModel {
 /// determinism contract.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StepStats {
-    /// Messages sent by all ranks this step.
-    pub msgs: u64,
-    /// ... of class [`CommClass::Solve`].
-    pub msgs_solve: u64,
-    /// ... of class [`CommClass::Residual`].
-    pub msgs_residual: u64,
-    /// ... of class [`CommClass::Recovery`].
-    pub msgs_recovery: u64,
-    /// ... of class [`CommClass::Redundancy`] (extra replica copies).
-    pub msgs_redundancy: u64,
-    /// ... of class [`CommClass::Transfer`] (inter-level grid transfers).
-    pub msgs_transfer: u64,
-    /// Payload bytes sent by all ranks.
-    pub bytes: u64,
-    /// ... of class [`CommClass::Solve`].
-    pub bytes_solve: u64,
-    /// ... of class [`CommClass::Residual`].
-    pub bytes_residual: u64,
-    /// ... of class [`CommClass::Recovery`].
-    pub bytes_recovery: u64,
-    /// ... of class [`CommClass::Redundancy`] (extra replica copies).
-    pub bytes_redundancy: u64,
-    /// ... of class [`CommClass::Transfer`] (inter-level grid transfers).
-    pub bytes_transfer: u64,
+    /// Messages sent by all ranks this step, per [`CommClass`].
+    pub msgs: ClassCounts,
+    /// Payload bytes sent by all ranks this step, per [`CommClass`].
+    pub bytes: ClassCounts,
     /// Flops reported by all ranks.
     pub flops: u64,
     /// Ranks that reported at least one relaxation.
@@ -221,17 +201,7 @@ impl PartialEq for StepStats {
     /// bit-determinism contract.
     fn eq(&self, other: &Self) -> bool {
         self.msgs == other.msgs
-            && self.msgs_solve == other.msgs_solve
-            && self.msgs_residual == other.msgs_residual
-            && self.msgs_recovery == other.msgs_recovery
-            && self.msgs_redundancy == other.msgs_redundancy
-            && self.msgs_transfer == other.msgs_transfer
             && self.bytes == other.bytes
-            && self.bytes_solve == other.bytes_solve
-            && self.bytes_residual == other.bytes_residual
-            && self.bytes_recovery == other.bytes_recovery
-            && self.bytes_redundancy == other.bytes_redundancy
-            && self.bytes_transfer == other.bytes_transfer
             && self.flops == other.flops
             && self.active_ranks == other.active_ranks
             && self.relaxations == other.relaxations
@@ -241,24 +211,6 @@ impl PartialEq for StepStats {
 }
 
 impl StepStats {
-    /// Folds per-class message and byte counts into the step's totals and
-    /// per-class fields.
-    pub(crate) fn add_class_counts(&mut self, msgs: &ClassCounts, bytes: &ClassCounts) {
-        use CommClass::*;
-        self.msgs += msgs.total();
-        self.msgs_solve += msgs.of(Solve);
-        self.msgs_residual += msgs.of(Residual);
-        self.msgs_recovery += msgs.of(Recovery);
-        self.msgs_redundancy += msgs.of(Redundancy);
-        self.msgs_transfer += msgs.of(Transfer);
-        self.bytes += bytes.total();
-        self.bytes_solve += bytes.of(Solve);
-        self.bytes_residual += bytes.of(Residual);
-        self.bytes_recovery += bytes.of(Recovery);
-        self.bytes_redundancy += bytes.of(Redundancy);
-        self.bytes_transfer += bytes.of(Transfer);
-    }
-
     /// The step's measured load-imbalance factor: the critical-path rank's
     /// compute time over the per-rank mean (`max / mean` across `nranks`
     /// ranks). `1.0` is perfect balance; Distributed Southwell's "few ranks
@@ -366,67 +318,42 @@ impl RunStats {
         epoch
     }
 
+    /// Messages over all steps, per [`CommClass`].
+    pub fn msgs_by_class(&self) -> ClassCounts {
+        let mut total = ClassCounts::default();
+        for s in &self.steps {
+            total.accumulate(&s.msgs);
+        }
+        total
+    }
+
+    /// Payload bytes over all steps, per [`CommClass`].
+    pub fn bytes_by_class(&self) -> ClassCounts {
+        let mut total = ClassCounts::default();
+        for s in &self.steps {
+            total.accumulate(&s.bytes);
+        }
+        total
+    }
+
     /// Total messages over all steps.
     pub fn total_msgs(&self) -> u64 {
-        self.steps.iter().map(|s| s.msgs).sum()
+        self.msgs_by_class().total()
     }
 
-    /// Total solve-class messages.
+    /// Total solve-class messages (Table 3, "Solve comm").
     pub fn total_msgs_solve(&self) -> u64 {
-        self.steps.iter().map(|s| s.msgs_solve).sum()
+        self.msgs_by_class().of(CommClass::Solve)
     }
 
-    /// Total residual-class messages.
+    /// Total residual-class messages (Table 3, "Res comm").
     pub fn total_msgs_residual(&self) -> u64 {
-        self.steps.iter().map(|s| s.msgs_residual).sum()
-    }
-
-    /// Total recovery-class messages (audit / resync / watchdog traffic).
-    pub fn total_msgs_recovery(&self) -> u64 {
-        self.steps.iter().map(|s| s.msgs_recovery).sum()
-    }
-
-    /// Total redundancy-class messages (extra replica copies of coded
-    /// placements).
-    pub fn total_msgs_redundancy(&self) -> u64 {
-        self.steps.iter().map(|s| s.msgs_redundancy).sum()
-    }
-
-    /// Total transfer-class messages (inter-level grid transfers of the
-    /// distributed multigrid cycle).
-    pub fn total_msgs_transfer(&self) -> u64 {
-        self.steps.iter().map(|s| s.msgs_transfer).sum()
+        self.msgs_by_class().of(CommClass::Residual)
     }
 
     /// Total payload bytes over all steps.
     pub fn total_bytes(&self) -> u64 {
-        self.steps.iter().map(|s| s.bytes).sum()
-    }
-
-    /// Total solve-class payload bytes.
-    pub fn total_bytes_solve(&self) -> u64 {
-        self.steps.iter().map(|s| s.bytes_solve).sum()
-    }
-
-    /// Total residual-class payload bytes.
-    pub fn total_bytes_residual(&self) -> u64 {
-        self.steps.iter().map(|s| s.bytes_residual).sum()
-    }
-
-    /// Total recovery-class payload bytes.
-    pub fn total_bytes_recovery(&self) -> u64 {
-        self.steps.iter().map(|s| s.bytes_recovery).sum()
-    }
-
-    /// Total redundancy-class payload bytes (the wire overhead of coded
-    /// placements over the uncoded run).
-    pub fn total_bytes_redundancy(&self) -> u64 {
-        self.steps.iter().map(|s| s.bytes_redundancy).sum()
-    }
-
-    /// Total transfer-class payload bytes (inter-level grid transfers).
-    pub fn total_bytes_transfer(&self) -> u64 {
-        self.steps.iter().map(|s| s.bytes_transfer).sum()
+        self.bytes_by_class().total()
     }
 
     /// Total measured epoch-close (routing) nanoseconds over the run.
@@ -451,31 +378,6 @@ impl RunStats {
     /// The paper's "communication cost": total messages / number of ranks.
     pub fn comm_cost(&self) -> f64 {
         self.total_msgs() as f64 / self.msgs_per_rank.len() as f64
-    }
-
-    /// Solve-class communication cost (Table 3, "Solve comm").
-    pub fn comm_cost_solve(&self) -> f64 {
-        self.total_msgs_solve() as f64 / self.msgs_per_rank.len() as f64
-    }
-
-    /// Residual-class communication cost (Table 3, "Res comm").
-    pub fn comm_cost_residual(&self) -> f64 {
-        self.total_msgs_residual() as f64 / self.msgs_per_rank.len() as f64
-    }
-
-    /// Recovery-class communication cost (overhead of self-healing).
-    pub fn comm_cost_recovery(&self) -> f64 {
-        self.total_msgs_recovery() as f64 / self.msgs_per_rank.len() as f64
-    }
-
-    /// Redundancy-class communication cost (overhead of coded placement).
-    pub fn comm_cost_redundancy(&self) -> f64 {
-        self.total_msgs_redundancy() as f64 / self.msgs_per_rank.len() as f64
-    }
-
-    /// Transfer-class communication cost (inter-level grid transfers).
-    pub fn comm_cost_transfer(&self) -> f64 {
-        self.total_msgs_transfer() as f64 / self.msgs_per_rank.len() as f64
     }
 
     /// Total modelled time.
@@ -561,12 +463,8 @@ mod tests {
     fn run_stats_aggregation() {
         let mut rs = RunStats::new(4);
         rs.steps.push(StepStats {
-            msgs: 8,
-            msgs_solve: 6,
-            msgs_residual: 2,
-            bytes: 100,
-            bytes_solve: 80,
-            bytes_residual: 20,
+            msgs: counts(&[(CommClass::Solve, 6), (CommClass::Residual, 2)]),
+            bytes: counts(&[(CommClass::Solve, 80), (CommClass::Residual, 20)]),
             flops: 50,
             active_ranks: 2,
             relaxations: 20,
@@ -574,14 +472,16 @@ mod tests {
             ..StepStats::default()
         });
         rs.steps.push(StepStats {
-            msgs: 4,
-            msgs_solve: 2,
-            msgs_residual: 2,
-            msgs_recovery: 1,
-            bytes: 40,
-            bytes_solve: 25,
-            bytes_residual: 10,
-            bytes_recovery: 5,
+            msgs: counts(&[
+                (CommClass::Solve, 2),
+                (CommClass::Residual, 1),
+                (CommClass::Recovery, 1),
+            ]),
+            bytes: counts(&[
+                (CommClass::Solve, 25),
+                (CommClass::Residual, 10),
+                (CommClass::Recovery, 5),
+            ]),
             flops: 10,
             active_ranks: 4,
             relaxations: 40,
@@ -597,19 +497,19 @@ mod tests {
         assert_eq!(rs.nsteps(), 2);
         assert_eq!(rs.total_msgs(), 12);
         assert_eq!(rs.total_msgs_solve(), 8);
-        assert_eq!(rs.total_msgs_residual(), 4);
+        assert_eq!(rs.total_msgs_residual(), 3);
         assert!((rs.comm_cost() - 3.0).abs() < 1e-15);
-        assert!((rs.comm_cost_solve() - 2.0).abs() < 1e-15);
-        assert!((rs.comm_cost_residual() - 1.0).abs() < 1e-15);
         assert!((rs.total_time() - 0.75).abs() < 1e-15);
         assert_eq!(rs.total_relaxations(), 60);
         assert!((rs.mean_active_fraction() - 0.75).abs() < 1e-15);
-        assert_eq!(rs.total_msgs_recovery(), 1);
-        assert!((rs.comm_cost_recovery() - 0.25).abs() < 1e-15);
+        let msgs = rs.msgs_by_class();
+        assert_eq!(msgs.of(CommClass::Recovery), 1);
+        assert_eq!(msgs.of(CommClass::Redundancy), 0);
+        let bytes = rs.bytes_by_class();
         assert_eq!(rs.total_bytes(), 140);
-        assert_eq!(rs.total_bytes_solve(), 105);
-        assert_eq!(rs.total_bytes_residual(), 30);
-        assert_eq!(rs.total_bytes_recovery(), 5);
+        assert_eq!(bytes.of(CommClass::Solve), 105);
+        assert_eq!(bytes.of(CommClass::Residual), 30);
+        assert_eq!(bytes.of(CommClass::Recovery), 5);
         let faults = rs.total_faults();
         assert_eq!(faults.dropped.total(), 3);
         assert_eq!(faults.duplicated.of(CommClass::Solve), 1);
@@ -632,8 +532,9 @@ mod tests {
 
     #[test]
     fn measured_timing_excluded_from_step_equality() {
+        let five = counts(&[(CommClass::Solve, 5)]);
         let a = StepStats {
-            msgs: 5,
+            msgs: five,
             compute_ns: 1000,
             compute_ns_max_rank: 900,
             span_ns: 1200,
@@ -641,7 +542,7 @@ mod tests {
             ..StepStats::default()
         };
         let b = StepStats {
-            msgs: 5,
+            msgs: five,
             compute_ns: 77,
             compute_ns_max_rank: 77,
             span_ns: 99,
@@ -650,7 +551,10 @@ mod tests {
         };
         // Same deterministic counters, different measured timing: equal.
         assert_eq!(a, b);
-        let c = StepStats { msgs: 6, ..a };
+        let c = StepStats {
+            msgs: counts(&[(CommClass::Residual, 5)]),
+            ..a
+        };
         assert_ne!(a, c);
     }
 

@@ -390,11 +390,6 @@ impl SolveService {
         self.queued
     }
 
-    /// Registered tenants.
-    pub fn ntenants(&self) -> usize {
-        self.tenants.len()
-    }
-
     /// Workers in the shared pool.
     pub fn workers(&self) -> usize {
         self.cfg.workers

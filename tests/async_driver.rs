@@ -10,7 +10,7 @@ use distributed_southwell::core::dist::{
     run_method, DistOptions, DsConfig, ExecBackend, Method, MonitorMode, RecoveryConfig, Redundancy,
 };
 use distributed_southwell::partition::{partition_multilevel, Graph, MultilevelOptions, Partition};
-use distributed_southwell::rma::{AsyncOptions, ChaosConfig, ExecMode};
+use distributed_southwell::rma::{AsyncOptions, ChaosConfig, ClassCounts, CommClass, ExecMode};
 use distributed_southwell::sparse::{gen, vecops, CsrMatrix};
 use proptest::prelude::*;
 
@@ -54,18 +54,28 @@ struct ReportPrint {
 fn print_of(rep: &distributed_southwell::core::dist::DistReport) -> ReportPrint {
     let faults = rep.stats.total_faults();
     let mon = rep.monitor_stats();
+    // Record `i` carries the prefix sum of the first `i` step tables.
+    let mut msgs = ClassCounts::default();
+    let per_record = std::iter::once(msgs).chain(rep.stats.steps.iter().map(|s| {
+        msgs.accumulate(&s.msgs);
+        msgs
+    }));
     ReportPrint {
         records: rep
             .records
             .iter()
-            .map(|r| {
+            .zip(per_record)
+            .map(|(r, m)| {
                 (
                     r.step,
                     r.residual_norm.to_bits(),
                     r.relaxations,
                     r.msgs,
-                    r.msgs_solve + r.msgs_residual + r.msgs_recovery + r.msgs_redundancy,
-                    r.msgs_redundancy,
+                    m.of(CommClass::Solve)
+                        + m.of(CommClass::Residual)
+                        + m.of(CommClass::Recovery)
+                        + m.of(CommClass::Redundancy),
+                    m.of(CommClass::Redundancy),
                     r.bytes,
                     r.active_ranks,
                 )
@@ -271,11 +281,10 @@ proptest! {
             r, seed, skew
         );
         let last = r1.records.last().unwrap();
-        prop_assert!(last.msgs_redundancy > 0, "replica fan-out must be accounted");
-        prop_assert_eq!(
-            last.msgs,
-            last.msgs_solve + last.msgs_residual + last.msgs_recovery + last.msgs_redundancy
-        );
+        let msgs = r1.stats.msgs_by_class();
+        prop_assert!(msgs.of(CommClass::Redundancy) > 0, "replica fan-out must be accounted");
+        prop_assert_eq!(last.msgs, msgs.total());
+        prop_assert_eq!(msgs.of(CommClass::Transfer), 0);
         let true_norm = vecops::norm2(&a.residual(&b, &r1.x));
         prop_assert!(
             (r1.final_residual() - true_norm).abs() <= 1e-12 * true_norm.max(1.0),

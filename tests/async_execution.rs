@@ -14,7 +14,7 @@
 use distributed_southwell::core::dist::{distribute, BlockJacobiRank, DistributedSouthwellRank};
 use distributed_southwell::partition::{partition_multilevel, Graph, MultilevelOptions};
 use distributed_southwell::rma::{
-    AsyncExecutor, AsyncOptions, ChaosConfig, CostModel, ExecMode, Executor,
+    AsyncExecutor, AsyncOptions, ChaosConfig, CommClass, CostModel, ExecMode, Executor,
 };
 use distributed_southwell::sparse::{gen, vecops};
 
@@ -235,13 +235,13 @@ fn assert_fate_parity(chaos: ChaosConfig, nsteps: usize) {
             sync_ex.stats.total_msgs(),
             sync_ex.stats.total_msgs_solve(),
             sync_ex.stats.total_msgs_residual(),
-            sync_ex.stats.total_msgs_recovery(),
+            sync_ex.stats.msgs_by_class().of(CommClass::Recovery),
         ),
         (
             async_ex.stats.total_msgs(),
             async_ex.stats.total_msgs_solve(),
             async_ex.stats.total_msgs_residual(),
-            async_ex.stats.total_msgs_recovery(),
+            async_ex.stats.msgs_by_class().of(CommClass::Recovery),
         ),
         "per-class message accounting under {chaos:?}"
     );

@@ -23,7 +23,7 @@ use distributed_southwell::core::dist::{
     RecoveryConfig, Redundancy, StepRecord, TenantSession,
 };
 use distributed_southwell::partition::{partition_multilevel, Graph, MultilevelOptions, Partition};
-use distributed_southwell::rma::{AsyncOptions, ChaosConfig, ExecMode};
+use distributed_southwell::rma::{AsyncOptions, ChaosConfig, ClassCounts, CommClass, ExecMode};
 use distributed_southwell::sparse::{gen, vecops, CsrMatrix};
 
 /// The §4.2 setup: unit diagonal, b = 0, guess scaled to unit residual.
@@ -105,10 +105,12 @@ fn reached(rep: &DistReport, branch: Branch) -> bool {
     }
 }
 
-/// Every deterministic field of a record. Measured wall time
+/// Every deterministic field of a record, with the per-class message and
+/// byte counters `msgs` / `bytes` accumulated up to it. Measured wall time
 /// (`compute_ns`, `imbalance`) is not part of the contract; with
 /// `wire = false` the modelled bytes and time are left out too.
-fn record_key(r: &StepRecord, wire: bool) -> Vec<u64> {
+fn record_key(r: &StepRecord, msgs: &ClassCounts, bytes: &ClassCounts, wire: bool) -> Vec<u64> {
+    use CommClass::*;
     let mut key = vec![
         r.step as u64,
         r.residual_norm.to_bits(),
@@ -116,23 +118,37 @@ fn record_key(r: &StepRecord, wire: bool) -> Vec<u64> {
         r.msgs,
         r.msgs_solve,
         r.msgs_residual,
-        r.msgs_recovery,
-        r.msgs_redundancy,
-        r.msgs_transfer,
+        msgs.of(Recovery),
+        msgs.of(Redundancy),
+        msgs.of(Transfer),
         r.active_ranks,
     ];
     if wire {
         key.extend([
             r.bytes,
-            r.bytes_solve,
-            r.bytes_residual,
-            r.bytes_recovery,
-            r.bytes_redundancy,
-            r.bytes_transfer,
+            bytes.of(Solve),
+            bytes.of(Residual),
+            bytes.of(Recovery),
+            bytes.of(Redundancy),
+            bytes.of(Transfer),
             r.time.to_bits(),
         ]);
     }
     key
+}
+
+/// The per-class `(msgs, bytes)` counters at each record: record `i` is
+/// the prefix sum of the first `i` step tables.
+fn cumulative(rep: &DistReport) -> Vec<(ClassCounts, ClassCounts)> {
+    assert_eq!(rep.records.len(), rep.stats.steps.len() + 1);
+    let mut acc = (ClassCounts::default(), ClassCounts::default());
+    let mut out = vec![acc];
+    for s in &rep.stats.steps {
+        acc.0.accumulate(&s.msgs);
+        acc.1.accumulate(&s.bytes);
+        out.push(acc);
+    }
+    out
 }
 
 /// A report as comparable words.
@@ -149,7 +165,12 @@ impl Print {
     fn of(rep: &DistReport, wire: bool) -> Print {
         let mon = rep.monitor_stats();
         Print {
-            records: rep.records.iter().map(|r| record_key(r, wire)).collect(),
+            records: rep
+                .records
+                .iter()
+                .zip(cumulative(rep))
+                .map(|(r, (msgs, bytes))| record_key(r, &msgs, &bytes, wire))
+                .collect(),
             summary: [
                 rep.converged_at.map_or(u64::MAX, |s| s as u64),
                 rep.deadlocked as u64,

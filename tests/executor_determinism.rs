@@ -9,7 +9,8 @@
 //! each other (puts land in per-(origin, target) buckets of the routing
 //! index), the epoch close that makes them visible routes each target's
 //! buckets in origin order over disjoint per-target state — serially or
-//! chunked across the worker pool ([`CloseMode`]) — and the fault injector
+//! chunked across the worker pool (`Executor::set_parallel_close_threshold`)
+//! — and the fault injector
 //! computes each message's fate as a pure function of its
 //! `(epoch, origin, target, index, class)` key, so no steal order, worker
 //! count, grain, or close chunking can reorder anything observable. See
@@ -20,7 +21,7 @@ use distributed_southwell::core::dist::{
 };
 use distributed_southwell::partition::{partition_multilevel, Graph, MultilevelOptions};
 use distributed_southwell::rma::{
-    ChaosConfig, CloseMode, CostModel, ExecMode, Executor, StepStats,
+    ChaosConfig, CommClass, CostModel, ExecMode, Executor, StepStats,
 };
 use distributed_southwell::sparse::{gen, vecops, CsrMatrix};
 use proptest::prelude::*;
@@ -57,7 +58,14 @@ fn problem_64() -> (CsrMatrix, Vec<f64>, Vec<f64>) {
     (a, b, x0)
 }
 
-fn run(mode: ExecMode, close: CloseMode, chaos: ChaosConfig, nsteps: usize) -> Fingerprint {
+/// A close threshold no phase reaches: every epoch closes serially.
+const SERIAL: u64 = u64::MAX;
+/// A zero close threshold: every epoch closes on the pool (≥ 2 workers).
+const POOLED: u64 = 0;
+
+/// Runs `nsteps` steps; `close` is the parallel-close threshold
+/// ([`SERIAL`] or [`POOLED`]).
+fn run(mode: ExecMode, close: u64, chaos: ChaosConfig, nsteps: usize) -> Fingerprint {
     let (a, b, x0) = problem_64();
     let part = partition_multilevel(&Graph::from_matrix(&a), 64, MultilevelOptions::default());
     let locals = distribute(&a, &b, &x0, &part).unwrap();
@@ -65,7 +73,7 @@ fn run(mode: ExecMode, close: CloseMode, chaos: ChaosConfig, nsteps: usize) -> F
     let r0 = a.residual(&b, &x0);
     let ranks = DistributedSouthwellRank::build(locals, &norms, &r0);
     let mut ex = Executor::with_chaos(ranks, CostModel::default(), mode, chaos);
-    ex.set_close_mode(close);
+    ex.set_parallel_close_threshold(close);
     for _ in 0..nsteps {
         ex.step();
     }
@@ -78,7 +86,7 @@ fn run(mode: ExecMode, close: CloseMode, chaos: ChaosConfig, nsteps: usize) -> F
             ex.stats.total_msgs(),
             ex.stats.total_msgs_solve(),
             ex.stats.total_msgs_residual(),
-            ex.stats.total_msgs_recovery(),
+            ex.stats.msgs_by_class().of(CommClass::Recovery),
         ),
         msgs_per_rank: ex.stats.msgs_per_rank.clone(),
         faults: (faults.dropped.total(), faults.duplicated.total()),
@@ -88,14 +96,9 @@ fn run(mode: ExecMode, close: CloseMode, chaos: ChaosConfig, nsteps: usize) -> F
 
 #[test]
 fn pool_is_bit_identical_to_sequential_without_chaos() {
-    let reference = run(
-        ExecMode::Sequential,
-        CloseMode::Serial,
-        ChaosConfig::none(),
-        10,
-    );
+    let reference = run(ExecMode::Sequential, SERIAL, ChaosConfig::none(), 10);
     for nworkers in [2usize, 4, 7] {
-        for close in [CloseMode::Serial, CloseMode::Parallel] {
+        for close in [SERIAL, POOLED] {
             let pooled = run(ExecMode::Threaded(nworkers), close, ChaosConfig::none(), 10);
             assert_eq!(
                 reference, pooled,
@@ -121,9 +124,9 @@ proptest! {
             seed,
             ..ChaosConfig::none()
         };
-        let reference = run(ExecMode::Sequential, CloseMode::Serial, chaos, 10);
+        let reference = run(ExecMode::Sequential, SERIAL, chaos, 10);
         for nworkers in [2usize, 4, 7] {
-            for close in [CloseMode::Serial, CloseMode::Parallel] {
+            for close in [SERIAL, POOLED] {
                 let pooled = run(ExecMode::Threaded(nworkers), close, chaos, 10);
                 prop_assert_eq!(
                     &reference,
@@ -186,10 +189,9 @@ fn drive_print(mode: ExecMode, monitor: MonitorMode, chaos: ChaosConfig) -> Repo
 
 /// The determinism contract lifted to the driver: in BOTH monitor modes,
 /// a full `drive()` run — records, solution, verdicts, monitor counters —
-/// is bit-identical across the sequential executor, the persistent pool
-/// (with the production epoch close), and the legacy spawn-per-phase
-/// scheduler, with and without chaos. The close modes themselves are
-/// varied at executor level above.
+/// is bit-identical across the sequential executor and the persistent
+/// pool (with the production epoch close), with and without chaos.
+/// Serial and pooled closes are forced at executor level above.
 #[test]
 fn drive_is_bit_identical_across_exec_modes_in_both_monitor_modes() {
     let chaotic = ChaosConfig {

@@ -138,7 +138,7 @@ fn dropping_residual_updates_can_freeze_distributed_southwell() {
     let mut frozen = false;
     for _ in 0..500 {
         let s = ex.step();
-        if s.relaxations == 0 && s.msgs == 0 && global_norm(&ex, &a, &b) > 1e-6 {
+        if s.relaxations == 0 && s.msgs.total() == 0 && global_norm(&ex, &a, &b) > 1e-6 {
             frozen = true;
             break;
         }

@@ -10,8 +10,8 @@
 //! both phases of a two-phase step on a 64-rank grid.
 
 use distributed_southwell::rma::{
-    AsyncExecutor, AsyncOptions, ChaosConfig, CloseMode, CommClass, CostModel, Envelope, ExecMode,
-    Executor, PhaseCtx, RankAlgorithm, RedundantHost, RunStats, StepStats,
+    AsyncExecutor, AsyncOptions, ChaosConfig, CommClass, CostModel, Envelope, ExecMode, Executor,
+    PhaseCtx, RankAlgorithm, RedundantHost, RunStats, StepStats,
 };
 use proptest::prelude::*;
 
@@ -109,9 +109,14 @@ struct Observed {
 /// Parallel steps the randomized runs execute.
 const STEPS: usize = 8;
 
-/// One superstep-executor configuration: exec mode, close mode, and the
-/// work-stealing grain.
-type Path = (ExecMode, CloseMode, Option<usize>);
+/// One superstep-executor configuration: exec mode, parallel-close
+/// threshold ([`SERIAL`] or [`POOLED`]), and the work-stealing grain.
+type Path = (ExecMode, u64, Option<usize>);
+
+/// A close threshold no phase reaches: every epoch closes serially.
+const SERIAL: u64 = u64::MAX;
+/// A zero close threshold: every epoch closes on the pool (≥ 2 workers).
+const POOLED: u64 = 0;
 
 /// Targeted `(rank, steps)` stalls injected before the run, and the number
 /// of parallel steps to execute.
@@ -133,19 +138,21 @@ fn gossip_fleet() -> Vec<Gossip> {
 fn observe(logs: Vec<Vec<InboxLog>>, stats: &RunStats) -> Observed {
     let mut totals = [0u64; 15];
     for s in &stats.steps {
+        let msgs = CommClass::ALL.map(|c| s.msgs.of(c));
+        let bytes = CommClass::ALL.map(|c| s.bytes.of(c));
         let row = [
-            s.msgs,
-            s.msgs_solve,
-            s.msgs_residual,
-            s.msgs_recovery,
-            s.msgs_redundancy,
-            s.msgs_transfer,
-            s.bytes,
-            s.bytes_solve,
-            s.bytes_residual,
-            s.bytes_recovery,
-            s.bytes_redundancy,
-            s.bytes_transfer,
+            s.msgs.total(),
+            msgs[0],
+            msgs[1],
+            msgs[2],
+            msgs[3],
+            msgs[4],
+            s.bytes.total(),
+            bytes[0],
+            bytes[1],
+            bytes[2],
+            bytes[3],
+            bytes[4],
             s.flops,
             s.relaxations,
             s.active_ranks,
@@ -201,14 +208,13 @@ fn run_async<A: RankAlgorithm>(
 /// (modelled time included), which every superstep path must agree on.
 fn run_superstep<A: RankAlgorithm>(
     ranks: Vec<A>,
-    (mode, close, grain): Path,
+    (mode, close_threshold, grain): Path,
     chaos: ChaosConfig,
     (stalls, steps): Schedule,
     logs: impl Fn(&[A]) -> Vec<Vec<InboxLog>>,
 ) -> (Observed, Vec<StepStats>) {
     let mut ex = Executor::with_chaos(ranks, CostModel::default(), mode, chaos);
-    ex.set_close_mode(close);
-    ex.set_parallel_close_threshold(0);
+    ex.set_parallel_close_threshold(close_threshold);
     if let Some(g) = grain {
         ex.set_grain(g);
     }
@@ -289,11 +295,11 @@ proptest! {
             &reference,
             &[
                 // Fully serial.
-                (ExecMode::Sequential, CloseMode::Serial, None),
+                (ExecMode::Sequential, SERIAL, None),
                 // The pool-parallel close, across pool sizes and grains.
-                (ExecMode::Threaded(3), CloseMode::Parallel, None),
-                (ExecMode::Threaded(5), CloseMode::Parallel, Some(1)),
-                (ExecMode::Threaded(2), CloseMode::Auto, Some(7)),
+                (ExecMode::Threaded(3), POOLED, None),
+                (ExecMode::Threaded(5), POOLED, Some(1)),
+                (ExecMode::Threaded(2), POOLED, Some(7)),
             ],
             gossip_fleet,
             chaos,
@@ -360,7 +366,7 @@ proptest! {
             seed,
             ..ChaosConfig::none()
         };
-        let path = (ExecMode::Sequential, CloseMode::Serial, None);
+        let path = (ExecMode::Sequential, SERIAL, None);
         let plain = run_superstep(gossip_fleet(), path, chaos, (&[], STEPS), gossip_logs);
         let coded = run_superstep(coded_ranks(1), path, chaos, (&[], STEPS), coded_logs);
         prop_assert_eq!(
@@ -397,9 +403,9 @@ proptest! {
         assert_paths_match(
             &reference,
             &[
-                (ExecMode::Sequential, CloseMode::Serial, None),
-                (ExecMode::Threaded(3), CloseMode::Parallel, None),
-                (ExecMode::Threaded(2), CloseMode::Auto, Some(7)),
+                (ExecMode::Sequential, SERIAL, None),
+                (ExecMode::Threaded(3), POOLED, None),
+                (ExecMode::Threaded(2), POOLED, Some(7)),
             ],
             || coded_ranks(2),
             chaos,
@@ -421,8 +427,8 @@ fn targeted_stall_accumulation_identical_across_paths() {
     assert_paths_match(
         &reference,
         &[
-            (ExecMode::Sequential, CloseMode::Serial, None),
-            (ExecMode::Threaded(4), CloseMode::Parallel, None),
+            (ExecMode::Sequential, SERIAL, None),
+            (ExecMode::Threaded(4), POOLED, None),
         ],
         gossip_fleet,
         chaos,
