@@ -8,6 +8,10 @@
 //! terminal as aligned text tables and, for every experiment, as CSV files
 //! under `results/`.
 
+// Memory safety rests on the compiler alone here; the only `unsafe` of
+// the workspace is in `dsw-rma`'s pool and executor.
+#![forbid(unsafe_code)]
+
 pub mod chart;
 pub mod experiments;
 pub mod harness;

@@ -784,7 +784,8 @@ where
 {
     match opts.backend {
         ExecBackend::Superstep(mode) => {
-            let ex = Executor::with_chaos(ranks, opts.cost_model, mode, opts.chaos);
+            let ex = Executor::with_chaos(ranks, opts.cost_model, mode, opts.chaos)
+                .unwrap_or_else(|e| panic!("ExecBackend::Superstep: {e}"));
             drive_backend(method, ex, view, a, b, opts)
         }
         ExecBackend::Async(aopts) => {
@@ -927,7 +928,8 @@ impl<R: RankAlgorithm> AsyncBackend<R> {
         // freshest replica, so a replica-covered straggler no longer gates
         // the whole run.
         if let Some(groups) = lag_groups {
-            ex.set_lag_groups(groups);
+            ex.set_lag_groups(groups)
+                .unwrap_or_else(|e| panic!("coded lag groups: {e}"));
         }
         let goal = opts.max_steps * nphases;
         // Expected ticks to the goal are `goal / p`, where `p` is the

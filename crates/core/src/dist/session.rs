@@ -169,6 +169,7 @@ pub(crate) fn warm_executor<A: RankAlgorithm>(
         Some(pool) => Executor::with_shared_pool(ranks, opts.cost_model, opts.chaos, pool),
         None => Executor::with_chaos(ranks, opts.cost_model, mode, opts.chaos),
     }
+    .unwrap_or_else(|e| panic!("warm-start executor: {e}"))
 }
 
 /// A persistent solver instance: distributed state that survives across

@@ -17,6 +17,9 @@
 // `unwrap()` is banned in non-test code (clippy `disallowed-methods`, see
 // clippy.toml): use `expect` naming the invariant, or propagate the error.
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+// Memory safety rests on the compiler alone here; the only `unsafe` of
+// the workspace is in `dsw-rma`'s pool and executor.
+#![forbid(unsafe_code)]
 
 pub mod dist;
 pub mod dsmooth;

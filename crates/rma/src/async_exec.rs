@@ -210,22 +210,31 @@ impl<A: RankAlgorithm> AsyncExecutor<A> {
     /// With singleton groups this is exactly the per-rank bound. Groups
     /// may overlap (a rank hosting `r` blocks sits in `r` groups); every
     /// rank must appear in at least one group.
-    pub fn set_lag_groups(&mut self, groups: Vec<Vec<u32>>) {
+    ///
+    /// Returns `Err` (and leaves the groups unchanged) on no groups, an
+    /// empty group, an out-of-range member, or a rank in no group.
+    pub fn set_lag_groups(&mut self, groups: Vec<Vec<u32>>) -> Result<(), String> {
         let n = self.ranks.len();
-        assert!(!groups.is_empty(), "need at least one lag group");
+        if groups.is_empty() {
+            return Err("need at least one lag group".into());
+        }
         let mut covered = vec![false; n];
-        for g in &groups {
-            assert!(!g.is_empty(), "lag groups must be non-empty");
-            for &m in g {
-                assert!((m as usize) < n, "lag group member {m} out of range");
-                covered[m as usize] = true;
+        for (g, members) in groups.iter().enumerate() {
+            if members.is_empty() {
+                return Err(format!("lag group {g} is empty"));
+            }
+            for &m in members {
+                let Some(c) = covered.get_mut(m as usize) else {
+                    return Err(format!("lag group member {m} out of range for {n} ranks"));
+                };
+                *c = true;
             }
         }
-        assert!(
-            covered.iter().all(|&c| c),
-            "every rank must appear in at least one lag group"
-        );
+        if let Some(r) = covered.iter().position(|&c| !c) {
+            return Err(format!("rank {r} appears in no lag group"));
+        }
         self.lag_groups = Some(groups);
+        Ok(())
     }
 
     /// The progress gate: the slowest logical group's best clock (per-rank
@@ -598,6 +607,40 @@ mod tests {
     }
 
     #[test]
+    fn set_lag_groups_rejects_each_bad_input() {
+        let ring = || -> Vec<Ring> { (0..3).map(|id| Ring { id, n: 3, value: 1 }).collect() };
+        let cases: [(&str, Vec<Vec<u32>>, &str); 4] = [
+            ("no groups", vec![], "at least one lag group"),
+            (
+                "empty group",
+                vec![vec![0, 1, 2], vec![]],
+                "lag group 1 is empty",
+            ),
+            (
+                "out of range",
+                vec![vec![0, 1, 2, 3]],
+                "member 3 out of range",
+            ),
+            (
+                "uncovered rank",
+                vec![vec![0], vec![2]],
+                "rank 1 appears in no lag group",
+            ),
+        ];
+        for (tag, groups, needle) in cases {
+            let mut ex = AsyncExecutor::new(ring(), AsyncOptions::default());
+            match ex.set_lag_groups(groups) {
+                Ok(()) => panic!("{tag}: accepted"),
+                Err(e) => assert!(e.contains(needle), "{tag}: {e}"),
+            }
+            assert_eq!(ex.logical_clocks().len(), 3, "{tag}: groups left unset");
+        }
+        let mut ex = AsyncExecutor::new(ring(), AsyncOptions::default());
+        assert!(ex.set_lag_groups(vec![vec![0, 1], vec![1, 2]]).is_ok());
+        assert_eq!(ex.logical_clocks().len(), 2);
+    }
+
+    #[test]
     #[should_panic(expected = "AsyncExecutor::new: max_lag must be at least 1")]
     fn new_panics_with_the_error_text() {
         let ranks: Vec<Ring> = (0..3).map(|id| Ring { id, n: 3, value: 1 }).collect();
@@ -850,7 +893,9 @@ mod tests {
         // Rank 0's block is replicated on rank 1: the gate follows the
         // group maxima and the live ranks run ahead.
         let mut coded = mk();
-        coded.set_lag_groups(vec![vec![0, 1], vec![1], vec![2], vec![3]]);
+        coded
+            .set_lag_groups(vec![vec![0, 1], vec![1], vec![2], vec![3]])
+            .expect("valid lag groups");
         for _ in 0..50 {
             coded.tick();
         }

@@ -1,10 +1,21 @@
 //! The superstep executor: epochs, puts, delivery, counters.
 //!
+//! # Phases
+//!
+//! Every phase runs through one routine over disjoint chunks of
+//! `(ranks, buckets, per-rank counters)`: inline on the calling thread
+//! ([`ExecMode::Sequential`]) or one chunk per task on the worker pool
+//! ([`ExecMode::Threaded`]), at `(nranks / (8 · workers)).max(1)` ranks per
+//! chunk. A chunk is a set of plain `&mut` borrows split off the
+//! executor's storage, so a rank's [`PhaseCtx`] holds `&mut` to exactly its
+//! own outbox buckets and puts are borrow-checked. Each chunk also sums
+//! its ranks' counters; the sums combine in chunk order.
+//!
 //! # Epoch close
 //!
 //! Delivering the puts of a phase — deciding fault fates, routing
-//! envelopes into target inboxes, expiring delayed puts, folding the
-//! per-rank counters — is routed target-major. Every rank declares its
+//! envelopes into target inboxes, expiring delayed puts — is routed
+//! target-major. Every rank declares its
 //! possible put targets up front ([`RankAlgorithm::put_targets`], the
 //! neighbour group an MPI-3 access epoch names), and the executor builds a
 //! *reverse-neighbor index* once at construction: for every target, the
@@ -15,20 +26,31 @@
 //! sort is needed on the fault-free path. Because distinct targets touch
 //! disjoint buckets, inboxes, and delayed queues, the close runs either on
 //! the calling thread (one chunk of targets) or chunked across the worker
-//! pool ([`Executor::set_parallel_close_threshold`]), folding the per-rank
-//! counters and the modelled-time reduction in the same pass.
+//! pool ([`Executor::set_parallel_close_threshold`]).
 //!
-//! Serial or pooled, at any worker count or grain, the close produces
+//! Serial or pooled, at any worker count or chunking, the close produces
 //! bit-identical results: fault fates are pure functions of
 //! `(epoch, origin, target, index, class)` (see
 //! [`FaultInjector::fate_at`]), per-target work is independent, and the
-//! chunk partials combine with exact integer arithmetic.
+//! chunks' fault tallies combine with exact integer arithmetic.
+//!
+//! # `unsafe`
+//!
+//! One site remains here, in the close: bucket (o, t) is filled by origin
+//! o's phase chunk and drained by target t's close chunk, so no one borrow
+//! split covers it. `CloseBuckets` views the bucket storage through a raw
+//! pointer (an `unsafe impl Sync` and an `unsafe fn` accessor with one
+//! call). The argument is structural: each bucket id sits in exactly one
+//! target's `in_edges`, each target in exactly one close chunk, each chunk
+//! is held by one thread, and the view's `&mut` borrow of the storage
+//! starts after every phase borrow has ended.
 
 use crate::fault::{ChaosConfig, FaultInjector};
-use crate::pool::{SharedPool, WorkerPool};
+use crate::pool::{PoolStats, SharedPool};
 use crate::stats::{ClassCounts, CommClass, CostModel, FaultStats, RunStats, StepStats};
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// A message as it sits in a target rank's memory window.
@@ -54,10 +76,6 @@ pub(crate) struct PhaseTotals {
     pub flops: u64,
     pub relaxations: u64,
     pub active: bool,
-    /// Measured wall-clock ns of this rank's phase callback (set by the
-    /// executor, not the rank; feeds the load-imbalance observables only —
-    /// never the deterministic counters).
-    pub wall_ns: u64,
 }
 
 /// Public summary of a capture context's counters (see
@@ -78,21 +96,21 @@ pub struct CaptureTotals {
 }
 
 /// Where a [`PhaseCtx`]'s puts go.
-enum Sink<M> {
+enum Sink<'a, M> {
     /// Collected `(target, envelope)` pairs in put order, for the caller to
     /// route: a capture context ([`PhaseCtx::capture`]) or the
     /// asynchronous executor's.
     Captured(Vec<(usize, Envelope<M>)>),
-    /// The executor's routing: this origin's `(target, bucket id)` edge
-    /// list plus the base of the executor's shared bucket storage. Each put
-    /// lands directly in its `(origin, target)` bucket.
+    /// The executor's routing: this origin's declared targets (ascending)
+    /// and its buckets, one per target in the same order — the origin's
+    /// own range of the executor's bucket storage. Each put lands directly
+    /// in its `(origin, target)` bucket.
     Bucketed {
-        edges: *const (u32, u32),
-        nedges: usize,
-        base: *mut Vec<Envelope<M>>,
+        targets: &'a [u32],
+        buckets: &'a mut [Vec<Envelope<M>>],
         /// Per-target dirty flags: set on a bucket's empty→non-empty
         /// transition so the close can skip targets nobody messaged.
-        touched: *const AtomicBool,
+        touched: &'a [AtomicBool],
     },
 }
 
@@ -101,41 +119,14 @@ enum Sink<M> {
 /// Every `put` is one message, exactly as in the paper's counting (one
 /// `MPI_Put` per target per phase; piggybacked data rides in the same
 /// message at zero extra message cost but nonzero bytes).
-pub struct PhaseCtx<M> {
+pub struct PhaseCtx<'a, M> {
     rank: usize,
-    sink: Sink<M>,
-    totals: PhaseTotals,
+    sink: Sink<'a, M>,
+    /// Read and written by the panel adapter's fused path too.
+    pub(crate) totals: PhaseTotals,
 }
 
-impl<M> PhaseCtx<M> {
-    /// Constructor for the executor's bucketed (reverse-neighbor-indexed)
-    /// routing.
-    ///
-    /// # Safety contract (upheld by the executor)
-    /// `edges` must point at `nedges` valid `(target, bucket id)` pairs
-    /// that outlive the context, every bucket id must be in bounds of the
-    /// storage at `base`, and no other thread may touch those buckets
-    /// while the context lives (each `(origin, target)` bucket belongs to
-    /// exactly one origin, and one origin runs on exactly one worker).
-    fn bucketed(
-        rank: usize,
-        edges: *const (u32, u32),
-        nedges: usize,
-        base: *mut Vec<Envelope<M>>,
-        touched: *const AtomicBool,
-    ) -> Self {
-        PhaseCtx {
-            rank,
-            sink: Sink::Bucketed {
-                edges,
-                nedges,
-                base,
-                touched,
-            },
-            totals: PhaseTotals::default(),
-        }
-    }
-
+impl<M> PhaseCtx<'_, M> {
     /// The calling rank's id.
     #[inline]
     pub fn rank(&self) -> usize {
@@ -171,31 +162,24 @@ impl<M> PhaseCtx<M> {
         match &mut self.sink {
             Sink::Captured(outbox) => outbox.push((target, env)),
             Sink::Bucketed {
-                edges,
-                nedges,
-                base,
+                targets,
+                buckets,
                 touched,
             } => {
-                // SAFETY: see `PhaseCtx::bucketed`.
-                let edges = unsafe { std::slice::from_raw_parts(*edges, *nedges) };
-                let Some(&(_, bid)) = edges.iter().find(|&&(t, _)| t as usize == target) else {
+                let Some(k) = targets.iter().position(|&t| t as usize == target) else {
                     panic!(
                         "rank {} put to rank {target}, which is not in its declared put_targets",
                         self.rank
                     );
                 };
-                // SAFETY: this origin's buckets are exclusively owned (see
-                // `PhaseCtx::bucketed`); the touched flags are atomic, so
-                // concurrent origins marking the same target are fine
-                // (Relaxed suffices — the close runs after the phase
-                // barrier, which orders these stores before its loads).
-                unsafe {
-                    let bucket = &mut *base.add(bid as usize);
-                    if bucket.is_empty() {
-                        (*touched.add(target)).store(true, Ordering::Relaxed);
-                    }
-                    bucket.push(env);
+                let bucket = &mut buckets[k];
+                if bucket.is_empty() {
+                    // Relaxed suffices: the close runs after the phase
+                    // dispatch returns, which orders this store before its
+                    // load.
+                    touched[target].store(true, Ordering::Relaxed);
                 }
+                bucket.push(env);
             }
         }
         self.totals.msgs.add(class, 1);
@@ -312,8 +296,8 @@ pub enum ExecMode {
     /// All ranks run on the calling thread, in rank order.
     Sequential,
     /// Rank phases are dispatched to a **persistent pool** of `n` worker
-    /// threads (created once per executor), which self-schedule batches of
-    /// ranks from a shared atomic cursor (work stealing). Results are
+    /// threads (created once per executor; `n ≥ 1`), which self-schedule
+    /// chunks of ranks from a shared atomic cursor (work stealing). Results are
     /// bit-identical to [`ExecMode::Sequential`] for any `n` and any steal
     /// order: ranks interact only at epoch boundaries, which the executor
     /// routes over disjoint per-target state, and fault decisions are pure
@@ -330,84 +314,83 @@ struct DelayedEnv<M> {
 }
 
 /// The static routing index: one bucket per directed `(origin, target)`
-/// edge, plus both orientations of the edge list.
+/// edge, plus both orientations of the edge list. Bucket ids are edge
+/// indices, assigned origin-major, so every origin's buckets form one
+/// contiguous range of the bucket storage.
 struct Topology {
-    /// origin → `(target, bucket id)`, target-ascending.
-    out_edges: Vec<Vec<(u32, u32)>>,
+    /// Origin `o`'s edges are `out_start[o]..out_start[o + 1]` (length
+    /// `n + 1`): the range of `out_targets` holding its declared targets,
+    /// ascending, and the range of the bucket storage holding its buckets.
+    out_start: Vec<usize>,
+    /// Edge → target.
+    out_targets: Vec<u32>,
     /// target → `(origin, bucket id)`, origin-ascending — the
     /// reverse-neighbor index the target-major close scans.
     in_edges: Vec<Vec<(u32, u32)>>,
 }
 
-/// Builds the routing index from every rank's declared put targets;
-/// returns it with the bucket count.
-fn build_topology<A: RankAlgorithm>(ranks: &[A]) -> (Topology, usize) {
+/// Builds the routing index from every rank's declared put targets.
+fn build_topology<A: RankAlgorithm>(ranks: &[A]) -> Result<Topology, String> {
     let n = ranks.len();
-    assert!(n < u32::MAX as usize, "rank count must fit in u32");
-    let mut out_edges = Vec::with_capacity(n);
-    let mut nbuckets = 0usize;
+    let mut out_start = Vec::with_capacity(n + 1);
+    out_start.push(0);
+    let mut out_targets = Vec::new();
     for (i, r) in ranks.iter().enumerate() {
         let mut ts = r.put_targets();
         ts.sort_unstable();
         ts.dedup();
-        assert!(
-            ts.iter().all(|&t| t < n && t != i),
-            "rank {i} declared an out-of-range or self put target"
-        );
-        let edges: Vec<(u32, u32)> = ts
-            .iter()
-            .map(|&t| {
-                let bid = nbuckets as u32;
-                nbuckets += 1;
-                (t as u32, bid)
-            })
-            .collect();
-        out_edges.push(edges);
+        if let Some(t) = ts.iter().find(|&&t| t >= n || t == i) {
+            return Err(format!(
+                "rank {i} declared put target {t}, which is out of range or itself"
+            ));
+        }
+        out_targets.extend(ts.iter().map(|&t| t as u32));
+        out_start.push(out_targets.len());
+    }
+    if out_targets.len() >= u32::MAX as usize {
+        return Err("the number of declared (origin, target) edges must fit in u32".into());
     }
     let mut in_edges: Vec<Vec<(u32, u32)>> = (0..n).map(|_| Vec::new()).collect();
-    for (o, edges) in out_edges.iter().enumerate() {
-        for &(t, bid) in edges {
-            in_edges[t as usize].push((o as u32, bid));
+    for o in 0..n {
+        for bid in out_start[o]..out_start[o + 1] {
+            in_edges[out_targets[bid] as usize].push((o as u32, bid as u32));
         }
     }
-    (
-        Topology {
-            out_edges,
-            in_edges,
-        },
-        nbuckets,
-    )
+    Ok(Topology {
+        out_start,
+        out_targets,
+        in_edges,
+    })
 }
 
-/// Per-chunk partial of the epoch-close fold: fault outcomes of the
-/// chunk's targets plus the [`PhaseTotals`] reduction over the chunk's
-/// origins. Chunks combine with exact integer arithmetic (sums and maxes),
-/// so the fold is bit-identical for any chunk count.
+/// One phase's rank counters summed over a chunk of ranks, and, merged in
+/// chunk order, over all ranks. Sums and maxes of integers are exact, so
+/// the total is bit-identical for any chunking.
 #[derive(Debug, Clone, Copy, Default)]
-struct ClosePartial {
-    faults: FaultStats,
+struct PhaseSum {
     msgs: ClassCounts,
     bytes: ClassCounts,
     flops: u64,
     max_flops: u64,
     relaxations: u64,
     active: u64,
+    /// Measured rank wall time: an observable, never a deterministic
+    /// counter.
     compute_ns: u64,
 }
 
-impl ClosePartial {
-    fn absorb_rank(&mut self, t: &PhaseTotals) {
+impl PhaseSum {
+    fn absorb_rank(&mut self, t: &PhaseTotals, wall_ns: u64) {
         self.msgs.accumulate(&t.msgs);
         self.bytes.accumulate(&t.bytes);
         self.flops += t.flops;
         self.max_flops = self.max_flops.max(t.flops);
         self.relaxations += t.relaxations;
         self.active += u64::from(t.active);
-        self.compute_ns += t.wall_ns;
+        self.compute_ns += wall_ns;
     }
 
-    fn merge(&mut self, other: &ClosePartial) {
-        self.faults.accumulate(&other.faults);
+    fn merge(&mut self, other: &PhaseSum) {
         self.msgs.accumulate(&other.msgs);
         self.bytes.accumulate(&other.bytes);
         self.flops += other.flops;
@@ -423,36 +406,24 @@ pub struct Executor<A: RankAlgorithm> {
     ranks: Vec<A>,
     /// Inboxes holding envelopes visible at the next phase.
     inboxes: Vec<Vec<Envelope<A::Msg>>>,
-    /// Per-rank counters of the current phase, refilled every phase.
-    phase_totals: Vec<PhaseTotals>,
     /// The static routing index.
     topo: Topology,
     /// Bucket storage, one slot per directed `(origin, target)` edge.
     buckets: Vec<Vec<Envelope<A::Msg>>>,
     /// Per-target queues of delay-injected puts, in deferral order.
     delayed_q: Vec<Vec<DelayedEnv<A::Msg>>>,
-    /// Per-target flag: a fault perturbed this inbox's origin order this
-    /// phase, so it needs the stable re-sort (and only then).
-    unsorted: Vec<bool>,
     /// Per-target dirty flags: [`PhaseCtx::put`]
     /// marks a target when one of its inbound buckets goes empty →
     /// non-empty, and the close skips unmarked targets entirely (atomic
     /// because concurrent origins may mark the same target).
     touched: Vec<AtomicBool>,
-    /// Per-chunk partials of the close fold.
-    partials: Vec<ClosePartial>,
     /// Per-rank compute-ns scratch for the current step (reset each step).
     step_rank_ns: Vec<u64>,
-    /// Persistent worker pool ([`ExecMode::Threaded`], owned exclusively)
-    /// or a service-shared pool ([`Executor::with_shared_pool`]).
-    pool: Option<Arc<WorkerPool>>,
-    /// Work-stealing batch size override (`None` = auto; see
-    /// [`Executor::set_grain`]).
-    grain: Option<usize>,
-    /// Last observed cumulative per-worker busy ns (for per-step deltas).
-    worker_busy_seen: Vec<u64>,
+    /// The worker pool ([`ExecMode::Threaded`]: a private one; or a
+    /// service-shared one, [`Executor::with_shared_pool`]) with this
+    /// executor's busy-time epoch on it. `None` runs everything inline.
+    pool: Option<(SharedPool, PoolStats)>,
     model: CostModel,
-    mode: ExecMode,
     /// Minimum phase message volume before the close is dispatched to the
     /// pool (see [`Executor::set_parallel_close_threshold`]).
     parallel_close_min_msgs: u64,
@@ -467,100 +438,126 @@ pub struct Executor<A: RankAlgorithm> {
     pub stats: RunStats,
 }
 
-/// A raw pointer the pool closure may share across workers. Sound because
-/// each worker dereferences only the indices it claimed from the atomic
-/// cursor, and those claims are disjoint.
-struct SyncPtr<T>(*mut T);
-// SAFETY: moving the pointer to a worker moves no `T`; every dereference
-// is of an index the worker claimed exclusively from the pool cursor,
-// while the owning `Vec` outlives the blocking `pool.run` dispatch.
-unsafe impl<T> Send for SyncPtr<T> {}
-// SAFETY: shared `&SyncPtr` copies only hand out the raw pointer; the
-// disjoint-claim rule above keeps every `&mut` derived from it unique.
-unsafe impl<T> Sync for SyncPtr<T> {}
+/// Splits the first `len` elements off `rest`.
+fn take_head<'a, T>(rest: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+    let (head, tail) = std::mem::take(rest).split_at_mut(len);
+    *rest = tail;
+    head
+}
 
-/// Everything the close touches, shared across close workers.
-/// Raw pointers cover the per-target state (inboxes, delayed queues, sort
-/// flags, chunk partials) and the per-origin state (`msgs_per_rank`,
-/// `step_rank_ns`); a worker only dereferences indices inside its chunk,
-/// and chunks are disjoint. Buckets are indexed per `(origin, target)`
-/// edge, and every edge belongs to exactly one target chunk.
-struct CloseShared<'a, M> {
-    inboxes: *mut Vec<Envelope<M>>,
-    buckets: *mut Vec<Envelope<M>>,
-    delayed: *mut Vec<DelayedEnv<M>>,
-    unsorted: *mut bool,
+/// One chunk of a phase: ranks `lo..lo + ranks.len()`, their buckets (the
+/// chunk's contiguous bucket range) and per-rank counters, and the
+/// chunk's [`PhaseSum`].
+struct PhaseChunk<'a, A: RankAlgorithm> {
+    lo: usize,
+    ranks: &'a mut [A],
+    buckets: &'a mut [Vec<Envelope<A::Msg>>],
+    msgs_per_rank: &'a mut [u64],
+    rank_ns: &'a mut [u64],
+    sum: PhaseSum,
+}
+
+/// What every phase chunk reads.
+struct PhaseShared<'a, M> {
+    phase: usize,
+    stalled: &'a [bool],
+    inboxes: &'a [Vec<Envelope<M>>],
+    topo: &'a Topology,
     touched: &'a [AtomicBool],
-    partials: *mut ClosePartial,
-    msgs_per_rank: *mut u64,
-    step_rank_ns: *mut u64,
+}
+
+/// One chunk of the close: targets `lo..lo + inboxes.len()`, the
+/// per-target state the close writes, and the chunk's fault tallies.
+struct CloseChunk<'a, M> {
+    lo: usize,
+    inboxes: &'a mut [Vec<Envelope<M>>],
+    delayed: &'a mut [Vec<DelayedEnv<M>>],
+    faults: FaultStats,
+}
+
+/// The bucket storage as the close sees it — the one piece of state that
+/// crosses chunk owners: bucket `(o, t)` was filled by origin `o`'s phase
+/// chunk and is drained by target `t`'s close chunk.
+struct CloseBuckets<'a, M> {
+    base: *mut Vec<Envelope<M>>,
+    len: usize,
+    /// The view holds the storage's exclusive borrow for its lifetime.
+    _storage: PhantomData<&'a mut [Vec<Envelope<M>>]>,
+}
+
+// SAFETY: `len` and the marker are plain data. Through `base`, close
+// workers push, drain and append `M`s, which `M: Send` allows; each bucket
+// goes to the one thread that closes the bucket's target (see
+// `CloseBuckets::bucket`), so sharing the view creates no shared `&mut`.
+unsafe impl<M: Send> Sync for CloseBuckets<'_, M> {}
+
+impl<'a, M> CloseBuckets<'a, M> {
+    fn new(storage: &'a mut [Vec<Envelope<M>>]) -> Self {
+        CloseBuckets {
+            base: storage.as_mut_ptr(),
+            len: storage.len(),
+            _storage: PhantomData,
+        }
+    }
+
+    /// Bucket `bid`.
+    ///
+    /// # Safety
+    /// The caller must be the close of the bucket's target, holding that
+    /// target's close chunk, with `bid` taken from the target's
+    /// `in_edges`. Every bucket has exactly one target and every target
+    /// one chunk, so no two live references to a bucket can exist.
+    // `&self` → `&mut` is the point: many close workers share the view.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn bucket(&self, bid: u32) -> &mut Vec<Envelope<M>> {
+        assert!((bid as usize) < self.len, "bucket id out of range");
+        &mut *self.base.add(bid as usize)
+    }
+}
+
+/// What every close chunk reads, plus the bucket view.
+struct CloseShared<'a, M> {
+    buckets: CloseBuckets<'a, M>,
+    touched: &'a [AtomicBool],
     in_edges: &'a [Vec<(u32, u32)>],
-    totals: &'a [PhaseTotals],
     stalled: &'a [bool],
     injector: &'a FaultInjector,
     epoch: u64,
-    /// Ranks per chunk (the last chunk may be short).
-    chunk: usize,
-    n: usize,
+    phase: usize,
+    step_idx: usize,
 }
-// SAFETY: the raw pointers address per-target and per-origin slots of
-// executor-owned buffers that outlive the blocking close dispatch, and a
-// worker dereferences only the slots of the chunk it claimed; chunks are
-// disjoint. The payloads `M` moved between threads are `Send`.
-unsafe impl<M: Send> Send for CloseShared<'_, M> {}
-// SAFETY: shared access is the same disjoint-chunk access as above; the
-// shared-reference fields are only read, and `touched` is atomic.
-unsafe impl<M: Send> Sync for CloseShared<'_, M> {}
 
 impl<A: RankAlgorithm> Executor<A> {
     /// Creates an executor over `ranks` with the given cost model.
+    ///
+    /// # Panics
+    /// On the inputs [`with_chaos`](Self::with_chaos) rejects, with its
+    /// error text.
     pub fn new(ranks: Vec<A>, model: CostModel, mode: ExecMode) -> Self {
         Self::with_chaos(ranks, model, mode, ChaosConfig::none())
+            .unwrap_or_else(|e| panic!("Executor::new: {e}"))
     }
 
     /// As [`new`](Self::new), with fault injection at epoch boundaries.
     ///
-    /// # Panics
-    /// If `chaos` fails [`ChaosConfig::validate`].
-    pub fn with_chaos(ranks: Vec<A>, model: CostModel, mode: ExecMode, chaos: ChaosConfig) -> Self {
-        assert!(!ranks.is_empty(), "need at least one rank");
-        let n = ranks.len();
+    /// Returns `Err` on an empty rank set, [`ExecMode::Threaded`]`(0)`, a
+    /// declared put target that is out of range or the rank itself, or a
+    /// `chaos` that [`ChaosConfig::validate`] rejects.
+    pub fn with_chaos(
+        ranks: Vec<A>,
+        model: CostModel,
+        mode: ExecMode,
+        chaos: ChaosConfig,
+    ) -> Result<Self, String> {
+        if mode == ExecMode::Threaded(0) {
+            return Err("threaded mode needs at least one thread".into());
+        }
         // Workers are created once, here, and live for the executor's
         // lifetime; `step` only parks/unparks them.
-        let pool = match mode {
+        Self::build(ranks, model, chaos, |n| match mode {
             ExecMode::Sequential => None,
-            ExecMode::Threaded(t) => {
-                assert!(t > 0, "threaded mode needs at least one thread");
-                Some(Arc::new(WorkerPool::new(t.min(n))))
-            }
-        };
-        let nworkers = pool.as_ref().map_or(1, |p| p.nworkers());
-        let mut stats = RunStats::new(n);
-        stats.worker_busy_ns = vec![0; nworkers];
-        let (topo, nbuckets) = build_topology(&ranks);
-        Executor {
-            injector: FaultInjector::new(chaos, n),
-            ranks,
-            inboxes: (0..n).map(|_| Vec::new()).collect(),
-            phase_totals: vec![PhaseTotals::default(); n],
-            topo,
-            buckets: (0..nbuckets).map(|_| Vec::new()).collect(),
-            delayed_q: (0..n).map(|_| Vec::new()).collect(),
-            unsorted: vec![false; n],
-            touched: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            partials: Vec::new(),
-            step_rank_ns: vec![0; n],
-            pool,
-            grain: None,
-            worker_busy_seen: vec![0; nworkers],
-            model,
-            mode,
-            parallel_close_min_msgs: 256,
-            epochs_executed: 0,
-            trace: None,
-            steps_executed: 0,
-            stats,
-        }
+            ExecMode::Threaded(t) => Some(SharedPool::new(t.min(n))),
+        })
     }
 
     /// As [`with_chaos`](Self::with_chaos), but dispatching phases onto a
@@ -569,38 +566,57 @@ impl<A: RankAlgorithm> Executor<A> {
     /// multiplex over one set of worker threads.
     ///
     /// Results are bit-identical to every other mode (ranks interact only
-    /// at epoch boundaries). Dispatches from different executors must not
-    /// overlap in time — the pool runs one dispatch at a time, and a
-    /// service scheduler interleaves whole supersteps — but interleaving
-    /// *steps* of different executors on one pool is fully supported:
-    /// per-step worker-busy accounting brackets each step with its own
-    /// baseline, so no tenant's busy time bleeds into another's stats.
+    /// at epoch boundaries). The pool runs one dispatch at a time, so
+    /// executors on it may step from any threads; per-step worker-busy
+    /// accounting brackets each step with its own baseline, so no
+    /// tenant's busy time bleeds into another's stats. Returns `Err` on
+    /// the inputs `with_chaos` rejects.
     pub fn with_shared_pool(
         ranks: Vec<A>,
         model: CostModel,
         chaos: ChaosConfig,
         pool: &SharedPool,
-    ) -> Self {
-        let nworkers = pool.nworkers();
-        let mut ex = Self::with_chaos(ranks, model, ExecMode::Sequential, chaos);
-        ex.mode = ExecMode::Threaded(nworkers);
-        ex.pool = Some(Arc::clone(pool.inner()));
-        ex.stats.worker_busy_ns = vec![0; nworkers];
-        // Baseline at the pool's *current* cumulative counters: a shared
-        // pool has usually been busy before this executor existed, and
-        // that history must not be charged to this executor's first step.
-        ex.worker_busy_seen = (0..nworkers).map(|w| pool.inner().busy_ns(w)).collect();
-        ex
+    ) -> Result<Self, String> {
+        Self::build(ranks, model, chaos, |_| Some(pool.clone()))
     }
 
-    /// Overrides the work-stealing batch size (ranks claimed per cursor
-    /// fetch) for [`ExecMode::Threaded`]. The default grain targets ~8
-    /// batches per worker so tiny subdomains amortize cursor traffic while
-    /// hot ranks still spread; set `1` for maximal stealing granularity.
-    /// Scheduling-only: results are bit-identical for every grain.
-    pub fn set_grain(&mut self, grain: usize) {
-        assert!(grain >= 1, "grain must be at least 1");
-        self.grain = Some(grain);
+    /// The one constructor body: validates, then asks `pool` for the
+    /// worker pool given the rank count.
+    fn build(
+        ranks: Vec<A>,
+        model: CostModel,
+        chaos: ChaosConfig,
+        pool: impl FnOnce(usize) -> Option<SharedPool>,
+    ) -> Result<Self, String> {
+        if ranks.is_empty() {
+            return Err("need at least one rank".into());
+        }
+        chaos.validate()?;
+        let topo = build_topology(&ranks)?;
+        let n = ranks.len();
+        let pool = pool(n).map(|p| {
+            let busy = p.stats();
+            (p, busy)
+        });
+        let mut stats = RunStats::new(n);
+        stats.worker_busy_ns = vec![0; pool.as_ref().map_or(1, |(p, _)| p.nworkers())];
+        Ok(Executor {
+            injector: FaultInjector::new(chaos, n),
+            ranks,
+            inboxes: (0..n).map(|_| Vec::new()).collect(),
+            buckets: (0..topo.out_targets.len()).map(|_| Vec::new()).collect(),
+            topo,
+            delayed_q: (0..n).map(|_| Vec::new()).collect(),
+            touched: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            step_rank_ns: vec![0; n],
+            pool,
+            model,
+            parallel_close_min_msgs: 256,
+            epochs_executed: 0,
+            trace: None,
+            steps_executed: 0,
+            stats,
+        })
     }
 
     /// Minimum per-phase message volume before the epoch close runs on
@@ -617,7 +633,7 @@ impl<A: RankAlgorithm> Executor<A> {
 
     /// The number of compute workers (1 for [`ExecMode::Sequential`]).
     pub fn nworkers(&self) -> usize {
-        self.worker_busy_seen.len()
+        self.pool.as_ref().map_or(1, |(p, _)| p.nworkers())
     }
 
     /// Direct access to the fault injector, e.g. to force targeted
@@ -668,9 +684,6 @@ impl<A: RankAlgorithm> Executor<A> {
         for q in &mut self.delayed_q {
             q.clear();
         }
-        for u in &mut self.unsorted {
-            *u = false;
-        }
     }
 
     /// Executes one parallel step (all phases); returns its stats.
@@ -681,6 +694,9 @@ impl<A: RankAlgorithm> Executor<A> {
     /// stalled ranks (their inboxes keep accumulating until they resume).
     /// Fates are pure functions of per-message keys, so the fault pattern
     /// is identical under every [`ExecMode`] and close placement.
+    ///
+    /// # Panics
+    /// If a rank's phase panics (on a pool worker too), with its payload.
     pub fn step(&mut self) -> StepStats {
         let nphases = self.ranks[0].phases();
         debug_assert!(
@@ -688,26 +704,38 @@ impl<A: RankAlgorithm> Executor<A> {
             "all ranks must agree on the phase count"
         );
         let mut step = StepStats::default();
-        // Re-baseline the per-worker busy counters at the step *start*: on
-        // a shared pool other executors may have dispatched since this
-        // executor's previous step, and their busy time must not be
-        // attributed to this step's delta below.
-        if let Some(pool) = &self.pool {
-            for (w, seen) in self.worker_busy_seen.iter_mut().enumerate() {
-                *seen = pool.busy_ns(w);
-            }
+        // Re-baseline the busy epoch at the step *start*: on a shared pool
+        // other executors may have dispatched since this executor's
+        // previous step, and their busy time must not be charged here.
+        if let Some((_, busy)) = &mut self.pool {
+            busy.take_epoch();
         }
         // Stall decisions hold for every phase of this step.
         let stalled = self.injector.step_stalls();
         step.faults.stalled_ranks += stalled.iter().filter(|&&s| s).count() as u64;
+        let p = self.ranks.len() as f64;
         for phase in 0..nphases {
             let t_dispatch = Instant::now();
-            self.run_phase(phase, &stalled);
+            let sum = self.run_phase(phase, &stalled);
             step.span_ns += t_dispatch.elapsed().as_nanos() as u64;
             let t_close = Instant::now();
-            self.close(phase, &stalled, &mut step);
+            step.faults
+                .accumulate(&self.close(phase, &stalled, sum.msgs.total()));
             step.route_ns += t_close.elapsed().as_nanos() as u64;
             self.epochs_executed += 1;
+            step.msgs.accumulate(&sum.msgs);
+            step.bytes.accumulate(&sum.bytes);
+            step.flops += sum.flops;
+            step.relaxations += sum.relaxations;
+            step.active_ranks += sum.active;
+            step.compute_ns += sum.compute_ns;
+            // Time: the slowest rank gates the computation; message and
+            // byte volume are charged at the per-rank average (congestion /
+            // epoch-overhead model — see `CostModel`).
+            step.time += self.model.sync
+                + self.model.gamma * sum.max_flops as f64
+                + self.model.alpha * sum.msgs.total() as f64 / p
+                + self.model.beta * sum.bytes.total() as f64 / p;
         }
         // Fold the measured timing of this step (observables only — none of
         // this feeds the deterministic counters or the modelled clock).
@@ -717,11 +745,9 @@ impl<A: RankAlgorithm> Executor<A> {
             self.stats.rank_time_ns[i] += *ns;
             *ns = 0;
         }
-        if let Some(pool) = &self.pool {
-            for w in 0..pool.nworkers() {
-                let cum = pool.busy_ns(w);
-                self.stats.worker_busy_ns[w] += cum - self.worker_busy_seen[w];
-                self.worker_busy_seen[w] = cum;
+        if let Some((_, busy)) = &mut self.pool {
+            for (acc, ns) in self.stats.worker_busy_ns.iter_mut().zip(busy.take_epoch()) {
+                *acc += ns;
             }
         }
         self.stats.steps.push(step);
@@ -729,374 +755,256 @@ impl<A: RankAlgorithm> Executor<A> {
         step
     }
 
-    /// Applies one phase's combined close partial to the step counters and
-    /// the modelled clock.
-    fn apply_phase_partial(&self, ph: &ClosePartial, step: &mut StepStats) {
-        step.faults.accumulate(&ph.faults);
-        step.msgs.accumulate(&ph.msgs);
-        step.bytes.accumulate(&ph.bytes);
-        step.flops += ph.flops;
-        step.relaxations += ph.relaxations;
-        step.active_ranks += ph.active;
-        step.compute_ns += ph.compute_ns;
-        // Time: the slowest rank gates the computation; message and byte
-        // volume are charged at the per-rank average (congestion /
-        // epoch-overhead model — see `CostModel`).
-        let p = self.ranks.len() as f64;
-        step.time += self.model.sync
-            + self.model.gamma * ph.max_flops as f64
-            + self.model.alpha * ph.msgs.total() as f64 / p
-            + self.model.beta * ph.bytes.total() as f64 / p;
-    }
-
     /// The target-major close over the reverse-neighbor index: each target
     /// drains its senders' buckets in origin order. Runs on the calling
     /// thread or chunked across the worker pool (see
-    /// [`Executor::set_parallel_close_threshold`]); both produce
-    /// bit-identical results because distinct targets touch disjoint
-    /// state and chunk partials combine exactly.
-    fn close(&mut self, phase: usize, stalled: &[bool], step: &mut StepStats) {
+    /// [`Executor::set_parallel_close_threshold`]; `msgs` is the phase's
+    /// message volume); both produce bit-identical results because distinct
+    /// targets touch disjoint state and the chunks' fault tallies combine
+    /// exactly.
+    fn close(&mut self, phase: usize, stalled: &[bool], msgs: u64) -> FaultStats {
         let n = self.ranks.len();
-        let use_pool = self.pool.as_ref().is_some_and(|p| p.nworkers() >= 2)
-            && self.trace.is_none()
-            && self
-                .phase_totals
-                .iter()
-                .map(|t| t.msgs.total())
-                .sum::<u64>()
-                >= self.parallel_close_min_msgs;
-        let nchunks = if use_pool {
-            let pool = self.pool.as_ref().expect("use_pool implies a pool");
-            (pool.nworkers() * 4).min(n)
-        } else {
-            1
-        };
-        let chunk = n.div_ceil(nchunks);
-        self.partials.clear();
-        self.partials.resize(nchunks, ClosePartial::default());
+        let pool = self.pool.as_ref().map(|(p, _)| p).filter(|p| {
+            p.nworkers() >= 2 && self.trace.is_none() && msgs >= self.parallel_close_min_msgs
+        });
+        let chunk = n.div_ceil(pool.map_or(1, |p| (p.nworkers() * 4).min(n)));
         let sh = CloseShared {
-            inboxes: self.inboxes.as_mut_ptr(),
-            buckets: self.buckets.as_mut_ptr(),
-            delayed: self.delayed_q.as_mut_ptr(),
-            unsorted: self.unsorted.as_mut_ptr(),
+            buckets: CloseBuckets::new(&mut self.buckets),
             touched: &self.touched,
-            partials: self.partials.as_mut_ptr(),
-            msgs_per_rank: self.stats.msgs_per_rank.as_mut_ptr(),
-            step_rank_ns: self.step_rank_ns.as_mut_ptr(),
             in_edges: &self.topo.in_edges,
-            totals: &self.phase_totals,
             stalled,
             injector: &self.injector,
             epoch: self.epochs_executed,
-            chunk,
-            n,
-        };
-        if use_pool {
-            let pool = self.pool.as_ref().expect("pool exists");
-            // SAFETY: chunk `c` touches only targets/origins in
-            // `[c*chunk, (c+1)*chunk)`, ranges are disjoint across chunks,
-            // and `pool.run` blocks until every chunk is done.
-            pool.run(nchunks, 1, &|c| unsafe {
-                close_chunk(&sh, c, None, phase, 0);
-            });
-        } else {
-            let step_idx = self.steps_executed;
-            let mut trace = self.trace.as_mut();
-            for c in 0..nchunks {
-                // SAFETY: serial execution — no aliasing at all.
-                unsafe {
-                    close_chunk(&sh, c, trace.as_deref_mut(), phase, step_idx);
-                }
-            }
-        }
-        // Combine the chunk partials in chunk order. Integer sums and
-        // maxes are exact, so the result is independent of the chunking.
-        let mut ph = ClosePartial::default();
-        for c in 0..nchunks {
-            ph.merge(&self.partials[c]);
-        }
-        self.apply_phase_partial(&ph, step);
-    }
-
-    /// Runs `phase` on every non-stalled rank, filling the preallocated
-    /// `self.phase_totals` slots and the per-edge buckets (every bucket is
-    /// empty on entry — the previous epoch close drained it in place).
-    /// Stalled ranks contribute no puts and zero counters (they perform no
-    /// work at all this phase).
-    fn run_phase(&mut self, phase: usize, stalled: &[bool]) {
-        let n = self.ranks.len();
-
-        match self.mode {
-            ExecMode::Sequential => {
-                let buckets_base = self.buckets.as_mut_ptr();
-                let touched_base = self.touched.as_ptr();
-                let mut busy = 0u64;
-                // Chained timing: one clock read per rank boundary instead
-                // of two per rank — the delta between consecutive reads is
-                // the rank's wall time (plus a few ns of loop overhead,
-                // fine for a load-imbalance observable that never feeds the
-                // deterministic counters). At thousands of ranks the saved
-                // clock reads are a measurable slice of the phase.
-                let mut t_prev = Instant::now();
-                for (i, &is_stalled) in stalled.iter().enumerate().take(n) {
-                    if is_stalled {
-                        self.phase_totals[i] = PhaseTotals::default();
-                        continue;
-                    }
-                    let edges = &self.topo.out_edges[i];
-                    let mut ctx = PhaseCtx::bucketed(
-                        i,
-                        edges.as_ptr(),
-                        edges.len(),
-                        buckets_base,
-                        touched_base,
-                    );
-                    self.ranks[i].phase(phase, &self.inboxes[i], &mut ctx);
-                    let now = Instant::now();
-                    let wall_ns = now.duration_since(t_prev).as_nanos() as u64;
-                    t_prev = now;
-                    self.phase_totals[i] = PhaseTotals {
-                        wall_ns,
-                        ..ctx.totals
-                    };
-                    busy += wall_ns;
-                }
-                self.stats.worker_busy_ns[0] += busy;
-            }
-            ExecMode::Threaded(_) => {
-                let pool = self.pool.as_ref().expect("pool exists in Threaded mode");
-                // Default grain: ~8 batches per worker balances steal
-                // granularity (hot ranks spread) against cursor traffic
-                // (tiny subdomains amortize).
-                let grain = self
-                    .grain
-                    .unwrap_or_else(|| (n / (8 * pool.nworkers())).max(1));
-                let ranks = SyncPtr(self.ranks.as_mut_ptr());
-                let slots = SyncPtr(self.phase_totals.as_mut_ptr());
-                let buckets = SyncPtr(self.buckets.as_mut_ptr());
-                let touched = &self.touched;
-                let inboxes = &self.inboxes;
-                let out_edges = &self.topo.out_edges;
-                pool.run(n, grain, &|i| {
-                    // Capture the `SyncPtr` wrappers whole (precise capture
-                    // would otherwise grab the raw-pointer fields, which are
-                    // not `Sync`).
-                    let (ranks, slots, buckets) = (&ranks, &slots, &buckets);
-                    // SAFETY: the pool hands each index to exactly one
-                    // worker, so `ranks[i]`, `slots[i]` — and, through the
-                    // edge list, origin `i`'s buckets — are accessed
-                    // exclusively; `inboxes` is only read.
-                    let rank = unsafe { &mut *ranks.0.add(i) };
-                    // SAFETY: as above — index `i` is this worker's alone,
-                    // so `slots[i]` has no other reference.
-                    let slot = unsafe { &mut *slots.0.add(i) };
-                    if stalled[i] {
-                        *slot = PhaseTotals::default();
-                        return;
-                    }
-                    let edges = &out_edges[i];
-                    let ctx = PhaseCtx::bucketed(
-                        i,
-                        edges.as_ptr(),
-                        edges.len(),
-                        buckets.0,
-                        touched.as_ptr(),
-                    );
-                    run_one_rank(rank, phase, &inboxes[i], ctx, slot);
-                });
-            }
-        }
-    }
-}
-
-/// Closes one chunk of targets: routes their inbound buckets, expires
-/// their delayed queues, re-sorts the inboxes a fault perturbed, and folds
-/// the chunk's origin counters into its [`ClosePartial`].
-///
-/// # Safety
-/// The caller must guarantee that no other thread touches any state of
-/// targets/origins in chunk `c`'s range (see [`CloseShared`]).
-unsafe fn close_chunk<M: Clone + Send>(
-    sh: &CloseShared<'_, M>,
-    c: usize,
-    mut trace: Option<&mut crate::trace::Trace>,
-    phase: usize,
-    step_idx: usize,
-) {
-    let lo = c * sh.chunk;
-    let hi = ((c + 1) * sh.chunk).min(sh.n);
-    let mut part = ClosePartial::default();
-    for t in lo..hi {
-        close_one_target(
-            sh,
-            t,
-            trace.as_deref_mut(),
-            &mut part.faults,
             phase,
-            step_idx,
-        );
+            step_idx: self.steps_executed,
+        };
+        let mut inboxes = &mut self.inboxes[..];
+        let mut delayed = &mut self.delayed_q[..];
+        let chunks = (0..n).step_by(chunk).map(|lo| {
+            let len = chunk.min(n - lo);
+            CloseChunk {
+                lo,
+                inboxes: take_head(&mut inboxes, len),
+                delayed: take_head(&mut delayed, len),
+                faults: FaultStats::default(),
+            }
+        });
+        let mut faults = FaultStats::default();
+        match pool {
+            Some(pool) => {
+                let chunks: Vec<Mutex<CloseChunk<'_, A::Msg>>> = chunks.map(Mutex::new).collect();
+                pool.inner().run(chunks.len(), &|c| {
+                    close_chunk(
+                        &mut chunks[c].lock().expect("one claim per chunk"),
+                        &sh,
+                        None,
+                    );
+                });
+                for ch in chunks {
+                    faults.accumulate(&ch.into_inner().expect("no chunk panicked").faults);
+                }
+            }
+            None => {
+                let mut trace = self.trace.as_mut();
+                for mut ch in chunks {
+                    close_chunk(&mut ch, &sh, trace.as_deref_mut());
+                    faults.accumulate(&ch.faults);
+                }
+            }
+        }
+        faults
     }
-    for i in lo..hi {
-        let totals = &sh.totals[i];
-        part.absorb_rank(totals);
-        *sh.msgs_per_rank.add(i) += totals.msgs.total();
-        *sh.step_rank_ns.add(i) += totals.wall_ns;
+
+    /// Runs `phase` on every non-stalled rank, filling the per-edge buckets
+    /// (every bucket is empty on entry — the previous epoch close drained
+    /// it in place), and returns the phase's [`PhaseSum`]. Stalled ranks
+    /// contribute no puts and zero counters (they perform no work at all
+    /// this phase). One routine, [`run_chunk`], runs every chunk: inline,
+    /// or one chunk per pool task; chunk sums combine in chunk order.
+    fn run_phase(&mut self, phase: usize, stalled: &[bool]) -> PhaseSum {
+        let n = self.ranks.len();
+        let chunk = (n / (8 * self.nworkers())).max(1);
+        let sh = PhaseShared {
+            phase,
+            stalled,
+            inboxes: &self.inboxes,
+            topo: &self.topo,
+            touched: &self.touched,
+        };
+        let out_start = &self.topo.out_start;
+        let mut ranks = &mut self.ranks[..];
+        let mut buckets = &mut self.buckets[..];
+        let mut msgs_per_rank = &mut self.stats.msgs_per_rank[..];
+        let mut rank_ns = &mut self.step_rank_ns[..];
+        let chunks = (0..n).step_by(chunk).map(|lo| {
+            let len = chunk.min(n - lo);
+            PhaseChunk {
+                lo,
+                ranks: take_head(&mut ranks, len),
+                buckets: take_head(&mut buckets, out_start[lo + len] - out_start[lo]),
+                msgs_per_rank: take_head(&mut msgs_per_rank, len),
+                rank_ns: take_head(&mut rank_ns, len),
+                sum: PhaseSum::default(),
+            }
+        });
+        let mut sum = PhaseSum::default();
+        match &self.pool {
+            Some((pool, _)) => {
+                let chunks: Vec<Mutex<PhaseChunk<'_, A>>> = chunks.map(Mutex::new).collect();
+                pool.inner().run(chunks.len(), &|c| {
+                    run_chunk(&mut chunks[c].lock().expect("one claim per chunk"), &sh);
+                });
+                for ch in chunks {
+                    sum.merge(&ch.into_inner().expect("no chunk panicked").sum);
+                }
+            }
+            None => {
+                for mut ch in chunks {
+                    run_chunk(&mut ch, &sh);
+                    sum.merge(&ch.sum);
+                }
+                self.stats.worker_busy_ns[0] += sum.compute_ns;
+            }
+        }
+        sum
     }
-    *sh.partials.add(c) = part;
 }
 
-/// Routes everything addressed to target `t`: clears the inbox (unless the
-/// target is stalled), drains the inbound buckets in origin order deciding
-/// per-message fates, delivers expired delayed puts in deferral order (an
-/// order-preserving partition pass), and stable-sorts the inbox only if a
-/// fate perturbed its origin order.
-///
-/// # Safety
-/// Exclusive access to target `t`'s inbox, delayed queue, sort flag, and
-/// every bucket in `in_edges[t]`.
-unsafe fn close_one_target<M: Clone>(
+/// Runs one phase chunk.
+fn run_chunk<A: RankAlgorithm>(ch: &mut PhaseChunk<'_, A>, sh: &PhaseShared<'_, A::Msg>) {
+    let out_start = &sh.topo.out_start;
+    let base = out_start[ch.lo];
+    // Chained timing: one clock read per rank boundary instead of two per
+    // rank — the delta between consecutive reads is the rank's wall time
+    // (plus a few ns of loop overhead, fine for a load-imbalance
+    // observable that never feeds the deterministic counters). At
+    // thousands of ranks the saved clock reads are a measurable slice of
+    // the phase.
+    let mut t_prev = Instant::now();
+    for (k, rank) in ch.ranks.iter_mut().enumerate() {
+        let i = ch.lo + k;
+        if sh.stalled[i] {
+            continue;
+        }
+        let (e0, e1) = (out_start[i], out_start[i + 1]);
+        let mut ctx = PhaseCtx {
+            rank: i,
+            sink: Sink::Bucketed {
+                targets: &sh.topo.out_targets[e0..e1],
+                buckets: &mut ch.buckets[e0 - base..e1 - base],
+                touched: sh.touched,
+            },
+            totals: PhaseTotals::default(),
+        };
+        rank.phase(sh.phase, &sh.inboxes[i], &mut ctx);
+        let now = Instant::now();
+        let wall_ns = now.duration_since(t_prev).as_nanos() as u64;
+        t_prev = now;
+        ch.sum.absorb_rank(&ctx.totals, wall_ns);
+        ch.msgs_per_rank[k] += ctx.totals.msgs.total();
+        ch.rank_ns[k] += wall_ns;
+    }
+}
+
+/// Closes one chunk of targets. For each target `t`: clears the inbox
+/// (unless the target is stalled), drains the inbound buckets in origin
+/// order deciding per-message fates, delivers expired delayed puts in
+/// deferral order (an order-preserving partition pass), and stable-sorts
+/// the inbox only if a fate perturbed its origin order.
+fn close_chunk<M: Clone>(
+    ch: &mut CloseChunk<'_, M>,
     sh: &CloseShared<'_, M>,
-    t: usize,
     mut trace: Option<&mut crate::trace::Trace>,
-    faults: &mut FaultStats,
-    phase: usize,
-    step_idx: usize,
 ) {
-    let inbox = &mut *sh.inboxes.add(t);
-    let is_stalled = sh.stalled[t];
-    // Dirty-target fast path: if no put touched any of `t`'s inbound
-    // buckets this phase and no delayed put is parked, there is nothing to
-    // route — skip the per-edge bucket scan entirely. The inbox still
-    // empties (the target read it this phase) unless the target is
-    // stalled, and `unsorted[t]` cannot be pending here (the close always
-    // clears it before returning).
-    let touched = sh.touched[t].load(Ordering::Relaxed);
-    if !touched && (*sh.delayed.add(t)).is_empty() {
+    let message_faults = sh.injector.config().message_faults_active();
+    for (k, (inbox, dq)) in ch.inboxes.iter_mut().zip(ch.delayed.iter_mut()).enumerate() {
+        let t = ch.lo + k;
+        let is_stalled = sh.stalled[t];
         if !is_stalled {
             inbox.clear();
         }
-        return;
-    }
-    if touched {
-        sh.touched[t].store(false, Ordering::Relaxed);
-    }
-    if !is_stalled {
-        inbox.clear();
-    }
-    let message_faults = sh.injector.config().message_faults_active();
-    let mut appended = false;
-    let mut late = false;
-    for &(origin, bid) in &sh.in_edges[t] {
-        let bucket = &mut *sh.buckets.add(bid as usize);
-        if bucket.is_empty() {
+        // Dirty-target fast path: if no put touched any of `t`'s inbound
+        // buckets this phase and no delayed put is parked, there is nothing
+        // to route — skip the per-edge bucket scan entirely.
+        let touched = sh.touched[t].load(Ordering::Relaxed);
+        if !touched && dq.is_empty() {
             continue;
         }
-        appended = true;
-        if !message_faults {
-            // Fault-free fast path: a straight ordered move.
-            if let Some(tr) = trace.as_deref_mut() {
-                for env in bucket.iter() {
-                    tr.record(crate::trace::TraceEvent {
-                        step: step_idx,
-                        phase,
-                        src: env.src,
-                        dst: t,
-                        class: env.class,
-                    });
-                }
-            }
-            inbox.append(bucket);
-            continue;
+        if touched {
+            sh.touched[t].store(false, Ordering::Relaxed);
         }
-        for (idx, env) in bucket.drain(..).enumerate() {
-            let fate = sh
-                .injector
-                .fate_at(sh.epoch, origin, t as u32, idx as u32, env.class);
-            if fate.dropped {
-                faults.dropped.add(env.class, 1);
-                continue;
-            }
-            if fate.duplicated {
-                faults.duplicated.add(env.class, 1);
-                if let Some(tr) = trace.as_deref_mut() {
-                    tr.record(crate::trace::TraceEvent {
-                        step: step_idx,
-                        phase,
-                        src: env.src,
-                        dst: t,
-                        class: env.class,
-                    });
-                }
-                inbox.push(env.clone());
-            }
-            if fate.delay > 0 {
-                faults.delayed.add(env.class, 1);
-                (*sh.delayed.add(t)).push(DelayedEnv {
-                    due_epoch: sh.epoch + fate.delay as u64,
-                    env,
-                });
-            } else {
-                if let Some(tr) = trace.as_deref_mut() {
-                    tr.record(crate::trace::TraceEvent {
-                        step: step_idx,
-                        phase,
-                        src: env.src,
-                        dst: t,
-                        class: env.class,
-                    });
-                }
-                inbox.push(env);
-            }
-        }
-    }
-    // Deliver expired delayed puts in deferral order.
-    let dq = &mut *sh.delayed.add(t);
-    if !dq.is_empty() {
-        let due = sh.epoch;
-        for d in dq.extract_if(.., |d| d.due_epoch <= due) {
+        let tracing = trace.is_some();
+        let mut record = |src: usize, class: CommClass| {
             if let Some(tr) = trace.as_deref_mut() {
                 tr.record(crate::trace::TraceEvent {
-                    step: step_idx,
-                    phase,
-                    src: d.env.src,
+                    step: sh.step_idx,
+                    phase: sh.phase,
+                    src,
                     dst: t,
-                    class: d.env.class,
+                    class,
                 });
             }
+        };
+        let mut appended = false;
+        let mut late = false;
+        for &(origin, bid) in &sh.in_edges[t] {
+            // SAFETY: `bid` is from `in_edges[t]`, and this thread holds
+            // target `t`'s close chunk (see `CloseBuckets::bucket`).
+            let bucket = unsafe { sh.buckets.bucket(bid) };
+            if bucket.is_empty() {
+                continue;
+            }
+            appended = true;
+            if !message_faults {
+                // Fault-free fast path: a straight ordered move.
+                if tracing {
+                    for env in bucket.iter() {
+                        record(env.src, env.class);
+                    }
+                }
+                inbox.append(bucket);
+                continue;
+            }
+            for (idx, env) in bucket.drain(..).enumerate() {
+                let fate = sh
+                    .injector
+                    .fate_at(sh.epoch, origin, t as u32, idx as u32, env.class);
+                if fate.dropped {
+                    ch.faults.dropped.add(env.class, 1);
+                    continue;
+                }
+                if fate.duplicated {
+                    ch.faults.duplicated.add(env.class, 1);
+                    record(env.src, env.class);
+                    inbox.push(env.clone());
+                }
+                if fate.delay > 0 {
+                    ch.faults.delayed.add(env.class, 1);
+                    dq.push(DelayedEnv {
+                        due_epoch: sh.epoch + fate.delay as u64,
+                        env,
+                    });
+                } else {
+                    record(env.src, env.class);
+                    inbox.push(env);
+                }
+            }
+        }
+        // Deliver expired delayed puts in deferral order.
+        let due = sh.epoch;
+        for d in dq.extract_if(.., |d| d.due_epoch <= due) {
+            record(d.env.src, d.env.class);
             inbox.push(d.env);
             late = true;
         }
+        // Re-sort only when a fate perturbed origin order: a late arrival,
+        // or appends behind a stalled target's accumulated content. The
+        // fresh fault-free fill is origin-major by construction (buckets
+        // are drained origin-ascending), so it needs no sort at all.
+        if late || (is_stalled && appended) {
+            inbox.sort_by_key(|env| env.src);
+        }
     }
-    // Re-sort only when a fate perturbed origin order: a late arrival, or
-    // appends behind a stalled target's accumulated content. The fresh
-    // fault-free fill is origin-major by construction (buckets are drained
-    // origin-ascending), so it needs no sort at all.
-    let unsorted = &mut *sh.unsorted.add(t);
-    if late || (is_stalled && appended) {
-        *unsorted = true;
-    }
-    if *unsorted {
-        inbox.sort_by_key(|env| env.src);
-        *unsorted = false;
-    }
-}
-
-/// Executes one rank's phase, timing the callback for the load-imbalance
-/// observables.
-fn run_one_rank<A: RankAlgorithm>(
-    rank: &mut A,
-    phase: usize,
-    inbox: &[Envelope<A::Msg>],
-    mut ctx: PhaseCtx<A::Msg>,
-    slot: &mut PhaseTotals,
-) {
-    let t0 = Instant::now();
-    rank.phase(phase, inbox, &mut ctx);
-    let wall_ns = t0.elapsed().as_nanos() as u64;
-    *slot = PhaseTotals {
-        wall_ns,
-        ..ctx.totals
-    };
 }
 
 #[cfg(test)]
@@ -1123,13 +1031,18 @@ mod tests {
             for e in inbox {
                 self.value += e.payload;
             }
-            let target = (self.id + 1) % self.n;
-            ctx.put(target, CommClass::Solve, self.value, 8);
+            for target in self.put_targets() {
+                ctx.put(target, CommClass::Solve, self.value, 8);
+            }
             ctx.add_flops(1);
             ctx.record_relaxations(1);
         }
         fn put_targets(&self) -> Vec<usize> {
-            vec![(self.id + 1) % self.n]
+            // A one-rank ring has no neighbour.
+            (self.n > 1)
+                .then_some((self.id + 1) % self.n)
+                .into_iter()
+                .collect()
         }
     }
 
@@ -1172,32 +1085,32 @@ mod tests {
         assert_eq!(a.stats.msgs_per_rank, b.stats.msgs_per_rank);
     }
 
+    /// Chunk edges: 1 rank, fewer ranks than `8 · workers` (one-rank
+    /// chunks), an exact multiple, and a short last chunk — on every pool
+    /// size, with the close both serial and pooled.
     #[test]
-    fn all_modes_and_grains_agree() {
-        let mut reference = Executor::new(ring(13), CostModel::default(), ExecMode::Sequential);
-        for _ in 0..6 {
-            reference.step();
-        }
-        let vref: Vec<u64> = reference.ranks().iter().map(|r| r.value).collect();
-        for (mode, grain) in [
-            (ExecMode::Sequential, None),
-            (ExecMode::Threaded(2), None),
-            (ExecMode::Threaded(4), Some(1)),
-            (ExecMode::Threaded(7), Some(3)),
-            (ExecMode::Threaded(32), Some(1000)),
-        ] {
-            let mut ex = Executor::new(ring(13), CostModel::default(), mode);
-            if let Some(g) = grain {
-                ex.set_grain(g);
-            }
+    fn all_modes_and_chunk_edges_agree() {
+        for n in [1usize, 7, 64, 65] {
+            let mut reference = Executor::new(ring(n), CostModel::default(), ExecMode::Sequential);
             for _ in 0..6 {
-                ex.step();
+                reference.step();
             }
-            let v: Vec<u64> = ex.ranks().iter().map(|r| r.value).collect();
-            assert_eq!(v, vref, "{mode:?} grain {grain:?}");
-            assert_eq!(ex.stats.msgs_per_rank, reference.stats.msgs_per_rank);
-            for (sa, sb) in reference.stats.steps.iter().zip(&ex.stats.steps) {
-                assert_eq!(sa, sb, "{mode:?} grain {grain:?}");
+            let vref: Vec<u64> = reference.ranks().iter().map(|r| r.value).collect();
+            for workers in [1usize, 2, 3] {
+                for close in [u64::MAX, 0] {
+                    let mode = ExecMode::Threaded(workers);
+                    let mut ex = Executor::new(ring(n), CostModel::default(), mode);
+                    ex.set_parallel_close_threshold(close);
+                    for _ in 0..6 {
+                        ex.step();
+                    }
+                    let v: Vec<u64> = ex.ranks().iter().map(|r| r.value).collect();
+                    assert_eq!(v, vref, "{n} ranks, {mode:?}, close {close}");
+                    assert_eq!(ex.stats.msgs_per_rank, reference.stats.msgs_per_rank);
+                    for (sa, sb) in reference.stats.steps.iter().zip(&ex.stats.steps) {
+                        assert_eq!(sa, sb, "{n} ranks, {mode:?}, close {close}");
+                    }
+                }
             }
         }
     }
@@ -1257,7 +1170,6 @@ mod tests {
     /// (and hence `worker_utilization`) absorbed the first run's work.
     #[test]
     fn shared_pool_busy_time_is_per_run() {
-        use crate::pool::SharedPool;
         let pool = SharedPool::new(2);
 
         let mut first = Executor::with_shared_pool(
@@ -1265,7 +1177,8 @@ mod tests {
             CostModel::default(),
             ChaosConfig::default(),
             &pool,
-        );
+        )
+        .expect("valid executor");
         for _ in 0..20 {
             first.step();
         }
@@ -1277,7 +1190,8 @@ mod tests {
             CostModel::default(),
             ChaosConfig::default(),
             &pool,
-        );
+        )
+        .expect("valid executor");
         let second_initial: u64 = second.stats.worker_busy_ns.iter().sum();
         assert_eq!(second_initial, 0, "fresh executor starts at zero busy");
         second.step();
@@ -1421,49 +1335,202 @@ mod tests {
         assert!(trace.to_csv().contains("0,0,0,1,Solve"));
     }
 
-    #[test]
-    #[should_panic(expected = "must not put to itself")]
-    fn self_put_panics() {
-        struct SelfPut;
-        impl RankAlgorithm for SelfPut {
-            type Msg = ();
-            fn phases(&self) -> usize {
-                1
-            }
-            fn phase(&mut self, _p: usize, _i: &[Envelope<()>], ctx: &mut PhaseCtx<()>) {
-                ctx.put(0, CommClass::Solve, (), 0);
-            }
-            fn put_targets(&self) -> Vec<usize> {
-                Vec::new()
-            }
+    /// Steps `ranks` once under `mode` and returns the panic message. On
+    /// a pool the phase panics on a worker; the step must still return
+    /// (by unwinding) rather than hang.
+    fn step_panic_message<A: RankAlgorithm>(ranks: Vec<A>, mode: ExecMode) -> String {
+        let mut ex = Executor::new(ranks, CostModel::default(), mode);
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ex.step()))
+            .expect_err("the step panics");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|m| m.to_string()))
+            .expect("a string panic payload")
+    }
+
+    /// Every rank puts to itself.
+    struct SelfPut {
+        id: usize,
+    }
+    impl RankAlgorithm for SelfPut {
+        type Msg = ();
+        fn phases(&self) -> usize {
+            1
         }
-        let ranks = vec![SelfPut, SelfPut];
-        let mut ex = Executor::new(ranks, CostModel::default(), ExecMode::Sequential);
-        ex.step();
+        fn phase(&mut self, _p: usize, _i: &[Envelope<()>], ctx: &mut PhaseCtx<()>) {
+            ctx.put(self.id, CommClass::Solve, (), 0);
+        }
+        fn put_targets(&self) -> Vec<usize> {
+            Vec::new()
+        }
+    }
+
+    /// Declares only its right neighbour on a 3-ring; puts left.
+    struct Liar {
+        id: usize,
+    }
+    impl RankAlgorithm for Liar {
+        type Msg = ();
+        fn phases(&self) -> usize {
+            1
+        }
+        fn phase(&mut self, _p: usize, _i: &[Envelope<()>], ctx: &mut PhaseCtx<()>) {
+            ctx.put((self.id + 2) % 3, CommClass::Solve, (), 0);
+        }
+        fn put_targets(&self) -> Vec<usize> {
+            vec![(self.id + 1) % 3]
+        }
+    }
+
+    fn liars() -> Vec<Liar> {
+        (0..3).map(|id| Liar { id }).collect()
     }
 
     #[test]
-    #[should_panic(expected = "not in its declared put_targets")]
+    fn self_put_panics() {
+        for mode in [ExecMode::Sequential, ExecMode::Threaded(2)] {
+            let msg = step_panic_message(vec![SelfPut { id: 0 }, SelfPut { id: 1 }], mode);
+            assert!(msg.contains("must not put to itself"), "{mode:?}: {msg}");
+        }
+    }
+
+    #[test]
     fn undeclared_target_put_panics() {
-        struct Liar {
-            id: usize,
+        for mode in [ExecMode::Sequential, ExecMode::Threaded(2)] {
+            let msg = step_panic_message(liars(), mode);
+            assert!(
+                msg.contains("not in its declared put_targets"),
+                "{mode:?}: {msg}"
+            );
         }
-        impl RankAlgorithm for Liar {
-            type Msg = ();
-            fn phases(&self) -> usize {
-                1
-            }
-            fn phase(&mut self, _p: usize, _i: &[Envelope<()>], ctx: &mut PhaseCtx<()>) {
-                // Declared only the right neighbor; puts left.
-                ctx.put((self.id + 2) % 3, CommClass::Solve, (), 0);
-            }
-            fn put_targets(&self) -> Vec<usize> {
-                vec![(self.id + 1) % 3]
+    }
+
+    /// A phase that panicked on a shared pool leaves the pool serving:
+    /// the next executor on it steps bit-identically to `Sequential`.
+    #[test]
+    fn shared_pool_serves_after_a_panicked_phase() {
+        let pool = SharedPool::new(2);
+        let mut liar =
+            Executor::with_shared_pool(liars(), CostModel::default(), ChaosConfig::none(), &pool)
+                .expect("valid executor");
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| liar.step()));
+        assert!(caught.is_err(), "the undeclared put panics");
+        let mut ex =
+            Executor::with_shared_pool(ring(13), CostModel::default(), ChaosConfig::none(), &pool)
+                .expect("valid executor");
+        let mut reference = Executor::new(ring(13), CostModel::default(), ExecMode::Sequential);
+        for _ in 0..4 {
+            assert_eq!(ex.step(), reference.step());
+        }
+        let v: Vec<u64> = ex.ranks().iter().map(|r| r.value).collect();
+        let vref: Vec<u64> = reference.ranks().iter().map(|r| r.value).collect();
+        assert_eq!(v, vref);
+    }
+
+    /// `Executor` is `Send` and `SharedPool` is `Clone + Send`, so safe
+    /// code can step two executors on one pool from two threads. Their
+    /// dispatches queue on the pool; both must finish and match the
+    /// sequential reference exactly.
+    #[test]
+    fn executors_on_one_pool_step_concurrently() {
+        let pool = SharedPool::new(2);
+        let mut reference = Executor::new(ring(64), CostModel::default(), ExecMode::Sequential);
+        for _ in 0..500 {
+            reference.step();
+        }
+        let vref: Vec<u64> = reference.ranks().iter().map(|r| r.value).collect();
+        let start = std::sync::Arc::new(std::sync::Barrier::new(2));
+        let threads: Vec<_> = (0..2)
+            .map(|_| {
+                let pool = pool.clone();
+                let start = std::sync::Arc::clone(&start);
+                std::thread::spawn(move || {
+                    let mut ex = Executor::with_shared_pool(
+                        ring(64),
+                        CostModel::default(),
+                        ChaosConfig::none(),
+                        &pool,
+                    )
+                    .expect("valid executor");
+                    ex.set_parallel_close_threshold(0);
+                    start.wait();
+                    for _ in 0..500 {
+                        ex.step();
+                    }
+                    ex
+                })
+            })
+            .collect();
+        for t in threads {
+            let ex = t.join().expect("stepping thread finished");
+            let v: Vec<u64> = ex.ranks().iter().map(|r| r.value).collect();
+            assert_eq!(v, vref);
+            assert_eq!(ex.stats.msgs_per_rank, reference.stats.msgs_per_rank);
+        }
+    }
+
+    #[test]
+    fn with_chaos_rejects_bad_input_with_err() {
+        let bad_chaos = ChaosConfig {
+            drop_rate: 1.5,
+            ..ChaosConfig::none()
+        };
+        let cases: [(&str, Vec<Ring>, ExecMode, ChaosConfig, &str); 3] = [
+            (
+                "no ranks",
+                Vec::new(),
+                ExecMode::Sequential,
+                ChaosConfig::none(),
+                "at least one rank",
+            ),
+            (
+                "zero threads",
+                ring(3),
+                ExecMode::Threaded(0),
+                ChaosConfig::none(),
+                "at least one thread",
+            ),
+            (
+                "bad chaos",
+                ring(3),
+                ExecMode::Sequential,
+                bad_chaos,
+                "drop_rate",
+            ),
+        ];
+        for (tag, ranks, mode, chaos, needle) in cases {
+            match Executor::with_chaos(ranks, CostModel::default(), mode, chaos) {
+                Ok(_) => panic!("{tag}: accepted"),
+                Err(e) => assert!(e.contains(needle), "{tag}: {e}"),
             }
         }
-        let ranks = (0..3).map(|id| Liar { id }).collect();
-        let mut ex = Executor::new(ranks, CostModel::default(), ExecMode::Sequential);
-        ex.step();
+        // Rank 1 of two liars declares rank 2.
+        let two_liars = vec![Liar { id: 0 }, Liar { id: 1 }];
+        let err = Executor::with_chaos(
+            two_liars,
+            CostModel::default(),
+            ExecMode::Sequential,
+            ChaosConfig::none(),
+        );
+        assert!(
+            err.is_err_and(|e| e.contains("declared put target 2, which is out of range")),
+            "out-of-range put target"
+        );
+        let shared = SharedPool::new(1);
+        let err = Executor::<Ring>::with_shared_pool(
+            Vec::new(),
+            CostModel::default(),
+            ChaosConfig::none(),
+            &shared,
+        );
+        assert!(err.is_err(), "shared-pool constructor validates too");
+    }
+
+    #[test]
+    #[should_panic(expected = "Executor::new: threaded mode needs at least one thread")]
+    fn new_panics_with_the_error_text() {
+        Executor::new(ring(3), CostModel::default(), ExecMode::Threaded(0));
     }
 
     #[test]
@@ -1512,7 +1579,8 @@ mod tests {
             ..ChaosConfig::none()
         };
         let mut ex =
-            Executor::with_chaos(ring(3), CostModel::default(), ExecMode::Sequential, chaos);
+            Executor::with_chaos(ring(3), CostModel::default(), ExecMode::Sequential, chaos)
+                .expect("valid executor");
         ex.step();
         ex.step();
         // Everything dropped: nothing ever arrives.
@@ -1532,7 +1600,8 @@ mod tests {
             ..ChaosConfig::none()
         };
         let mut ex =
-            Executor::with_chaos(ring(3), CostModel::default(), ExecMode::Sequential, chaos);
+            Executor::with_chaos(ring(3), CostModel::default(), ExecMode::Sequential, chaos)
+                .expect("valid executor");
         ex.step();
         ex.step();
         // Rank 1 sees its left neighbor's step-1 value twice.
@@ -1549,7 +1618,8 @@ mod tests {
             ..ChaosConfig::none()
         };
         let mut ex =
-            Executor::with_chaos(ring(3), CostModel::default(), ExecMode::Sequential, chaos);
+            Executor::with_chaos(ring(3), CostModel::default(), ExecMode::Sequential, chaos)
+                .expect("valid executor");
         ex.step();
         ex.step();
         // One-epoch delay: the step-1 put (normally visible in step 2) is
@@ -1610,7 +1680,8 @@ mod tests {
                     seen: vec![],
                 })
                 .collect();
-            let mut ex = Executor::with_chaos(ranks, CostModel::default(), mode, chaos);
+            let mut ex = Executor::with_chaos(ranks, CostModel::default(), mode, chaos)
+                .expect("valid executor");
             ex.set_parallel_close_threshold(0);
             for _ in 0..5 {
                 ex.step();
@@ -1657,10 +1728,13 @@ mod tests {
             ..ChaosConfig::none()
         };
         let mut a =
-            Executor::with_chaos(ring(7), CostModel::default(), ExecMode::Sequential, chaos);
+            Executor::with_chaos(ring(7), CostModel::default(), ExecMode::Sequential, chaos)
+                .expect("valid executor");
         let mut bs: Vec<Executor<Ring>> = vec![
-            Executor::with_chaos(ring(7), CostModel::default(), ExecMode::Threaded(3), chaos),
-            Executor::with_chaos(ring(7), CostModel::default(), ExecMode::Threaded(3), chaos),
+            Executor::with_chaos(ring(7), CostModel::default(), ExecMode::Threaded(3), chaos)
+                .expect("valid executor"),
+            Executor::with_chaos(ring(7), CostModel::default(), ExecMode::Threaded(3), chaos)
+                .expect("valid executor"),
         ];
         bs[1].set_parallel_close_threshold(0);
         for _ in 0..12 {
@@ -1697,7 +1771,8 @@ mod tests {
                 seed: 99,
                 ..ChaosConfig::none()
             },
-        );
+        )
+        .expect("valid executor");
         for _ in 0..6 {
             assert_eq!(a.step(), b.step());
         }

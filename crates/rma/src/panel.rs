@@ -24,7 +24,7 @@
 //! order. Unpacking restores, per column, byte-for-byte the envelope
 //! sequence the scalar executor would have delivered.
 
-use crate::executor::{Envelope, PhaseCtx, RankAlgorithm};
+use crate::executor::{Envelope, PhaseCtx, PhaseTotals, RankAlgorithm};
 use crate::stats::CommClass;
 
 /// Bytes charged once per packed panel message (column count + framing).
@@ -83,7 +83,9 @@ impl<M> PanelMsg<M> {
 /// returns — one message per (target, class), targets ascending — with
 /// the same framing and ordering as the fallback path.
 pub struct PanelPhaseCtx<'a, M> {
-    ctx: &'a mut PhaseCtx<PanelMsg<M>>,
+    rank: usize,
+    /// The real phase context's counters.
+    totals: &'a mut PhaseTotals,
     staging: &'a mut [Vec<PanelPart<M>>],
     touched: &'a mut Vec<usize>,
     col_msgs: &'a mut [u64],
@@ -104,7 +106,7 @@ pub struct PanelPhaseCtx<'a, M> {
 impl<M> PanelPhaseCtx<'_, M> {
     /// The executing rank id.
     pub fn rank(&self) -> usize {
-        self.ctx.rank()
+        self.rank
     }
 
     /// Stages one column's payload for `target`, counting it as one
@@ -147,14 +149,15 @@ impl<M> PanelPhaseCtx<'_, M> {
 
     /// Forwards modelled flops to the real phase context.
     pub fn add_flops(&mut self, flops: u64) {
-        self.ctx.add_flops(flops);
+        self.totals.flops += flops;
     }
 
     /// Records `rows` relaxations for column `col` (marks the rank
     /// active, exactly as the fallback loop does per column).
     pub fn record_relaxations(&mut self, col: usize, rows: u64) {
         self.col_relax[col] += rows;
-        self.ctx.record_relaxations(rows);
+        self.totals.relaxations += rows;
+        self.totals.active = true;
     }
 }
 
@@ -363,7 +366,8 @@ impl<A: RankAlgorithm> RankAlgorithm for PanelRank<A> {
                 ..
             } = self;
             let mut out = PanelPhaseCtx {
-                ctx,
+                rank: ctx.rank(),
+                totals: &mut ctx.totals,
                 staging,
                 touched,
                 col_msgs,

@@ -10,43 +10,47 @@
 //!
 //! This pool fixes both. Workers are created **once per executor** and
 //! parked on a condvar between dispatches. A dispatch publishes a
-//! type-erased task closure plus a task count; workers self-schedule
-//! batches of `grain` consecutive task indices from a shared atomic cursor
-//! (chunked self-scheduling — the lock-free equivalent of a work-stealing
-//! deque for an indexed task list: whichever worker finishes early steals
-//! the next batch). Hot ranks therefore spread across workers no matter
-//! where they sit in rank order, and a tiny grain amortizes the cursor
-//! traffic when subdomains are small.
+//! type-erased task closure plus a task count; workers self-schedule task
+//! indices from a shared atomic cursor (self-scheduling — the lock-free
+//! equivalent of a work-stealing deque for an indexed task list: whichever
+//! worker finishes early steals the next index). The executor makes each
+//! index a short chunk of ranks, so hot ranks spread across workers no
+//! matter where they sit in rank order.
 //!
 //! Determinism is unaffected by construction: a task index is claimed by
 //! exactly one worker (`fetch_add`), every task writes only to its own
-//! preallocated result slot, and the dispatch does not return until every
-//! worker has quiesced — scheduling order can change *when* a rank runs,
-//! never *what* it computes or where the result lands.
+//! chunk, and the dispatch does not return until every worker has
+//! quiesced — scheduling order can change *when* a rank runs, never *what*
+//! it computes or where the result lands.
+//!
+//! Two rules keep the pool sound whatever safe code does with it:
+//! dispatches are serialised by a lock held for the whole of
+//! [`WorkerPool::run`] (clones of a [`SharedPool`] may dispatch from many
+//! threads), and a panicking task is caught on the worker, which still
+//! reports done; `run` re-raises the panic once the pool has quiesced.
 
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-/// Type-erased pointer to the dispatch closure. The pointee is guaranteed
-/// by [`WorkerPool::run`] to outlive the dispatch (the call blocks until
-/// all workers have finished with it).
-struct TaskPtr(*const (dyn Fn(usize) + Sync));
-// SAFETY: the pointee is Sync and `run` fences its lifetime.
-unsafe impl Send for TaskPtr {}
+/// The task of one dispatch, with its lifetime erased (see
+/// [`WorkerPool::run`]).
+type Task = &'static (dyn Fn(usize) + Sync);
 
 /// Dispatch state guarded by the pool mutex.
 struct Dispatch {
     /// Monotone dispatch counter; a worker runs one dispatch per increment.
     generation: u64,
     /// The current task closure (`None` between dispatches).
-    task: Option<TaskPtr>,
+    task: Option<Task>,
     /// Number of task indices in the current dispatch.
     ntasks: usize,
-    /// Batch size workers claim from the cursor.
-    grain: usize,
     /// Workers that have finished the current dispatch.
     done: usize,
+    /// The first panic a task raised in the current dispatch.
+    panic: Option<Box<dyn Any + Send>>,
     /// Pool is shutting down (drop).
     shutdown: bool,
 }
@@ -63,11 +67,22 @@ struct Shared {
     busy_ns: Vec<AtomicU64>,
 }
 
+impl Shared {
+    /// Tasks run outside this lock, and every update under it is a plain
+    /// field write that leaves the state valid, so a poisoned guard is
+    /// safe to recover (and `Drop` must not panic on one).
+    fn lock(&self) -> MutexGuard<'_, Dispatch> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// Persistent worker pool. Created once, reused for every phase dispatch,
 /// joined on drop.
 pub(crate) struct WorkerPool {
     shared: Arc<Shared>,
     handles: Vec<std::thread::JoinHandle<()>>,
+    /// Held for the whole of [`WorkerPool::run`]: one dispatch at a time.
+    dispatch: Mutex<()>,
 }
 
 impl WorkerPool {
@@ -79,8 +94,8 @@ impl WorkerPool {
                 generation: 0,
                 task: None,
                 ntasks: 0,
-                grain: 1,
                 done: 0,
+                panic: None,
                 shutdown: false,
             }),
             work_cv: Condvar::new(),
@@ -97,7 +112,11 @@ impl WorkerPool {
                     .expect("spawn pool worker")
             })
             .collect();
-        WorkerPool { shared, handles }
+        WorkerPool {
+            shared,
+            handles,
+            dispatch: Mutex::new(()),
+        }
     }
 
     /// Number of workers.
@@ -110,47 +129,48 @@ impl WorkerPool {
         self.shared.busy_ns[w].load(Ordering::Relaxed)
     }
 
-    /// Runs `task(i)` for every `i in 0..ntasks` across the pool, claiming
-    /// batches of `grain` indices at a time. Blocks until all indices have
-    /// been executed and every worker has quiesced.
-    pub(crate) fn run(&self, ntasks: usize, grain: usize, task: &(dyn Fn(usize) + Sync)) {
+    /// Runs `task(i)` for every `i in 0..ntasks` across the pool. Blocks
+    /// until all indices have been executed and every worker has quiesced.
+    /// Concurrent callers queue behind one another. If a task panics, the
+    /// dispatch stops handing out indices to that worker, the others
+    /// finish, and the first panic is re-raised here. A task must not
+    /// dispatch onto its own pool (it would wait for itself).
+    pub(crate) fn run(&self, ntasks: usize, task: &(dyn Fn(usize) + Sync)) {
         if ntasks == 0 {
             return;
         }
+        // The lock guards no data, so a poisoned one is as good as new.
+        let serial = self.dispatch.lock().unwrap_or_else(PoisonError::into_inner);
         let shared = &*self.shared;
-        {
-            let mut st = shared
-                .state
-                .lock()
-                .expect("a pool worker panicked while holding the state lock");
-            shared.cursor.store(0, Ordering::Relaxed);
-            let ptr: *const (dyn Fn(usize) + Sync) = task;
-            // SAFETY: we erase the lifetime, then block below until every
-            // worker reports done, which happens-after its last use of the
-            // pointer (the `done` increment is made under the same mutex).
-            st.task = Some(TaskPtr(unsafe {
-                std::mem::transmute::<
-                    *const (dyn Fn(usize) + Sync),
-                    *const (dyn Fn(usize) + Sync + 'static),
-                >(ptr)
-            }));
-            st.ntasks = ntasks;
-            st.grain = grain.max(1);
-            st.done = 0;
-            st.generation += 1;
-            shared.work_cv.notify_all();
-        }
-        let mut st = shared
-            .state
-            .lock()
-            .expect("a pool worker panicked while holding the state lock");
+        // SAFETY: only the lifetime changes. Workers read `st.task` only
+        // while `st.done < nworkers` for this generation; `serial` makes
+        // this the only dispatch that can set and clear it; and this call
+        // returns only after every worker has reported done (under the
+        // state mutex, which orders each worker's last use of the closure
+        // before our wait ends) and `task` has been cleared again. So no
+        // worker touches the closure after `run` returns, and the borrow
+        // it came from outlives every use.
+        let task: Task = unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), Task>(task) };
+        let mut st = shared.lock();
+        shared.cursor.store(0, Ordering::Relaxed);
+        st.task = Some(task);
+        st.ntasks = ntasks;
+        st.done = 0;
+        st.generation += 1;
+        shared.work_cv.notify_all();
         while st.done < self.handles.len() {
             st = shared
                 .done_cv
                 .wait(st)
-                .expect("a pool worker panicked while holding the state lock");
+                .unwrap_or_else(PoisonError::into_inner);
         }
         st.task = None;
+        let panicked = st.panic.take();
+        drop(st);
+        drop(serial);
+        if let Some(payload) = panicked {
+            panic::resume_unwind(payload);
+        }
     }
 }
 
@@ -163,9 +183,9 @@ impl WorkerPool {
 /// threads each, oversubscribing the host N-fold. A `SharedPool` is one
 /// pool handed to every executor via
 /// [`Executor::with_shared_pool`](crate::Executor::with_shared_pool); the
-/// executors take turns dispatching onto it (one dispatch at a time — the
-/// service scheduler interleaves whole supersteps, never phases), and the
-/// pool's workers stay parked between dispatches exactly as in the
+/// executors take turns dispatching onto it (one dispatch at a time,
+/// enforced by the pool: a second thread's dispatch waits for the first),
+/// and the pool's workers stay parked between dispatches exactly as in the
 /// single-executor case.
 ///
 /// Cloning is shallow (an [`Arc`] bump): clones dispatch onto the same
@@ -188,8 +208,9 @@ impl SharedPool {
         self.pool.nworkers()
     }
 
-    /// The underlying pool handle (crate-internal: executors store it).
-    pub(crate) fn inner(&self) -> &Arc<WorkerPool> {
+    /// The underlying pool handle (crate-internal: executors dispatch on
+    /// it).
+    pub(crate) fn inner(&self) -> &WorkerPool {
         &self.pool
     }
 
@@ -219,10 +240,9 @@ impl SharedPool {
 /// The pool's raw `busy_ns` counters are cumulative over its lifetime;
 /// utilization quoted from them after the pool served several runs would
 /// blend every tenant's work (and can exceed 1.0 for the last run). A
-/// `PoolStats` carries an epoch baseline: [`PoolStats::busy_ns`] reports
-/// only the busy time since the baseline, and [`PoolStats::take_epoch`]
-/// harvests it and resets the baseline to *now* — one call per solve gives
-/// exact per-solve attribution on a pool of any age.
+/// `PoolStats` carries an epoch baseline: [`PoolStats::take_epoch`]
+/// harvests the busy time since the baseline and resets it to *now* — one
+/// call per solve gives exact per-solve attribution on a pool of any age.
 pub struct PoolStats {
     pool: Arc<WorkerPool>,
     /// Cumulative busy-ns snapshot at the epoch start, per worker.
@@ -230,20 +250,6 @@ pub struct PoolStats {
 }
 
 impl PoolStats {
-    /// Busy nanoseconds per worker since the epoch baseline.
-    pub fn busy_ns(&self) -> Vec<u64> {
-        self.base
-            .iter()
-            .enumerate()
-            .map(|(w, &b)| self.pool.busy_ns(w).saturating_sub(b))
-            .collect()
-    }
-
-    /// Total busy nanoseconds across workers since the epoch baseline.
-    pub fn total_busy_ns(&self) -> u64 {
-        self.busy_ns().iter().sum()
-    }
-
     /// Harvests the epoch: returns per-worker busy-ns since the baseline
     /// and resets the baseline to *now*, so the next epoch starts at zero.
     pub fn take_epoch(&mut self) -> Vec<u64> {
@@ -260,15 +266,8 @@ impl PoolStats {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        {
-            let mut st = self
-                .shared
-                .state
-                .lock()
-                .expect("a pool worker panicked while holding the state lock");
-            st.shutdown = true;
-            self.shared.work_cv.notify_all();
-        }
+        self.shared.lock().shutdown = true;
+        self.shared.work_cv.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -278,43 +277,35 @@ impl Drop for WorkerPool {
 fn worker_loop(shared: &Shared, w: usize) {
     let mut seen = 0u64;
     loop {
-        let (task, ntasks, grain) = {
-            let mut st = shared
-                .state
-                .lock()
-                .expect("a pool worker panicked while holding the state lock");
+        let (task, ntasks) = {
+            let mut st = shared.lock();
             loop {
                 if st.shutdown {
                     return;
                 }
                 if st.generation != seen {
                     seen = st.generation;
-                    let TaskPtr(ptr) = *st.task.as_ref().expect("dispatch has a task");
-                    break (ptr, st.ntasks, st.grain);
+                    break (st.task.expect("dispatch has a task"), st.ntasks);
                 }
                 st = shared
                     .work_cv
                     .wait(st)
-                    .expect("dispatch panicked while holding the state lock");
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         };
         let t0 = Instant::now();
-        // SAFETY: `run` keeps the closure alive until we report done below.
-        let task = unsafe { &*task };
-        loop {
-            let start = shared.cursor.fetch_add(grain, Ordering::Relaxed);
-            if start >= ntasks {
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| loop {
+            let i = shared.cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= ntasks {
                 break;
             }
-            for i in start..(start + grain).min(ntasks) {
-                task(i);
-            }
-        }
+            task(i);
+        }));
         shared.busy_ns[w].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        let mut st = shared
-            .state
-            .lock()
-            .expect("a pool worker panicked while holding the state lock");
+        let mut st = shared.lock();
+        if let Err(payload) = outcome {
+            st.panic.get_or_insert(payload);
+        }
         st.done += 1;
         if st.done == shared.busy_ns.len() {
             shared.done_cv.notify_one();
@@ -329,16 +320,18 @@ mod tests {
 
     #[test]
     fn every_index_runs_exactly_once() {
-        let pool = WorkerPool::new(4);
-        for grain in [1usize, 3, 16, 1000] {
-            let hits: Vec<AtomicU32> = (0..257).map(|_| AtomicU32::new(0)).collect();
-            pool.run(hits.len(), grain, &|i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-            assert!(
-                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                "grain {grain}"
-            );
+        for nworkers in [1usize, 2, 4] {
+            let pool = WorkerPool::new(nworkers);
+            for ntasks in [1usize, 3, 257] {
+                let hits: Vec<AtomicU32> = (0..ntasks).map(|_| AtomicU32::new(0)).collect();
+                pool.run(hits.len(), &|i| {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                });
+                assert!(
+                    hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                    "{nworkers} workers, {ntasks} tasks"
+                );
+            }
         }
     }
 
@@ -347,7 +340,7 @@ mod tests {
         let pool = WorkerPool::new(2);
         let sum = AtomicU64::new(0);
         for _ in 0..100 {
-            pool.run(10, 2, &|i| {
+            pool.run(10, &|i| {
                 sum.fetch_add(i as u64, Ordering::Relaxed);
             });
         }
@@ -357,7 +350,59 @@ mod tests {
     #[test]
     fn zero_tasks_is_a_noop() {
         let pool = WorkerPool::new(3);
-        pool.run(0, 1, &|_| panic!("no task should run"));
+        pool.run(0, &|_| panic!("no task should run"));
+    }
+
+    /// Clones of one `SharedPool` are `Send`, so safe code can dispatch
+    /// from two threads at once. Each dispatch must still run every index
+    /// exactly once, and both threads must finish.
+    #[test]
+    fn concurrent_dispatches_on_one_pool_are_serialised() {
+        let pool = SharedPool::new(2);
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let threads: Vec<_> = (0..2)
+            .map(|_| {
+                let pool = pool.clone();
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    for round in 0..1_000 {
+                        let hits: Vec<AtomicU32> = (0..17).map(|_| AtomicU32::new(0)).collect();
+                        pool.inner().run(hits.len(), &|i| {
+                            hits[i].fetch_add(1, Ordering::Relaxed);
+                        });
+                        assert!(
+                            hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                            "round {round}: an index ran other than once"
+                        );
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().expect("dispatching thread finished cleanly");
+        }
+    }
+
+    /// A panicking task reaches the dispatcher as a panic instead of
+    /// killing its worker (which would hang the dispatch), and the pool
+    /// serves the next dispatch normally.
+    #[test]
+    fn a_panicking_task_is_re_raised_and_the_pool_survives() {
+        let pool = WorkerPool::new(2);
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.run(8, &|i| assert_ne!(i, 5, "task five fails"));
+        }));
+        let payload = caught.expect_err("the task's panic reaches the caller");
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("assert_ne! panics with a String");
+        assert!(msg.contains("task five fails"), "{msg}");
+        let hits: Vec<AtomicU32> = (0..64).map(|_| AtomicU32::new(0)).collect();
+        pool.run(hits.len(), &|i| {
+            hits[i].fetch_add(1, Ordering::Relaxed);
+        });
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
@@ -369,12 +414,12 @@ mod tests {
         let spin = |_: usize| {
             std::hint::black_box((0..20_000).sum::<u64>());
         };
-        shared.inner().run(64, 4, &spin);
+        shared.inner().run(64, &spin);
         let first = stats.take_epoch();
         assert!(first.iter().sum::<u64>() > 0, "first epoch measured");
         // A fresh epoch starts at zero even though the pool counters do not.
-        assert_eq!(stats.total_busy_ns(), 0);
-        shared.inner().run(64, 4, &spin);
+        assert_eq!(stats.take_epoch().iter().sum::<u64>(), 0);
+        shared.inner().run(64, &spin);
         let second = stats.take_epoch();
         let lifetime: u64 = (0..shared.nworkers())
             .map(|w| shared.inner().busy_ns(w))
@@ -390,7 +435,7 @@ mod tests {
     #[test]
     fn busy_time_accumulates() {
         let pool = WorkerPool::new(1);
-        pool.run(64, 4, &|_| {
+        pool.run(64, &|_| {
             std::hint::black_box((0..100).sum::<u64>());
         });
         assert!(pool.busy_ns(0) > 0);

@@ -181,7 +181,8 @@ fn assert_fate_parity(chaos: ChaosConfig, nsteps: usize) {
         CostModel::default(),
         ExecMode::Sequential,
         chaos,
-    );
+    )
+    .expect("valid executor");
     for _ in 0..nsteps {
         sync_ex.step();
     }

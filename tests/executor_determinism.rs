@@ -13,7 +13,7 @@
 //! — and the fault injector
 //! computes each message's fate as a pure function of its
 //! `(epoch, origin, target, index, class)` key, so no steal order, worker
-//! count, grain, or close chunking can reorder anything observable. See
+//! count, or phase or close chunking can reorder anything observable. See
 //! DESIGN.md ("Persistent worker pool", "Parallel epoch close").
 
 use distributed_southwell::core::dist::{
@@ -72,7 +72,8 @@ fn run(mode: ExecMode, close: u64, chaos: ChaosConfig, nsteps: usize) -> Fingerp
     let norms: Vec<f64> = locals.iter().map(|l| l.residual_norm_sq()).collect();
     let r0 = a.residual(&b, &x0);
     let ranks = DistributedSouthwellRank::build(locals, &norms, &r0);
-    let mut ex = Executor::with_chaos(ranks, CostModel::default(), mode, chaos);
+    let mut ex =
+        Executor::with_chaos(ranks, CostModel::default(), mode, chaos).expect("valid executor");
     ex.set_parallel_close_threshold(close);
     for _ in 0..nsteps {
         ex.step();

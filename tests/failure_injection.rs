@@ -40,7 +40,7 @@ fn ds_executor_cfg(
     (
         a,
         b,
-        Executor::with_chaos(ranks, CostModel::default(), mode, chaos),
+        Executor::with_chaos(ranks, CostModel::default(), mode, chaos).expect("valid executor"),
     )
 }
 

@@ -4,10 +4,11 @@
 //! router (the lock-step asynchronous executor, which delivers origin-major
 //! at its tick boundaries) and every scheduling combination of the
 //! superstep executor's reverse-neighbor bucketed close: serial or chunked
-//! across the worker pool, under any pool size and grain, with drops,
-//! duplicates, delays, and stalls injected. The test
-//! program exercises multiple puts per edge, multiple message classes, and
-//! both phases of a two-phase step on a 64-rank grid.
+//! across the worker pool, on pool sizes 1–3, with drops, duplicates,
+//! delays, and stalls injected. The test program exercises multiple puts
+//! per edge, multiple message classes, and both phases of a two-phase step
+//! on grids of 1, 7, 64 and 65 ranks — a lone rank, fewer ranks than phase
+//! chunks, an exact chunk multiple, and a short last chunk.
 
 use distributed_southwell::rma::{
     AsyncExecutor, AsyncOptions, ChaosConfig, CommClass, CostModel, Envelope, ExecMode, Executor,
@@ -83,9 +84,10 @@ impl RankAlgorithm for Gossip {
                 ctx.record_relaxations(1);
             }
             _ => {
-                if (self.id as u64 + self.step).is_multiple_of(2) {
-                    let t = self.neighbors()[0];
-                    ctx.put(t, CommClass::Recovery, self.step, 4);
+                if let Some(&t) = self.neighbors().first() {
+                    if (self.id as u64 + self.step).is_multiple_of(2) {
+                        ctx.put(t, CommClass::Recovery, self.step, 4);
+                    }
                 }
                 self.step += 1;
             }
@@ -109,9 +111,21 @@ struct Observed {
 /// Parallel steps the randomized runs execute.
 const STEPS: usize = 8;
 
-/// One superstep-executor configuration: exec mode, parallel-close
-/// threshold ([`SERIAL`] or [`POOLED`]), and the work-stealing grain.
-type Path = (ExecMode, u64, Option<usize>);
+/// One superstep-executor configuration: exec mode and parallel-close
+/// threshold ([`SERIAL`] or [`POOLED`]).
+type Path = (ExecMode, u64);
+
+/// Every pool size 1–3, each closing on the pool where it can (a
+/// one-worker pool closes serially), plus the fully serial path.
+const ALL_PATHS: [Path; 4] = [
+    (ExecMode::Sequential, SERIAL),
+    (ExecMode::Threaded(1), POOLED),
+    (ExecMode::Threaded(2), POOLED),
+    (ExecMode::Threaded(3), POOLED),
+];
+
+/// Grid shapes `(w, h)` of 1, 7, 64 and 65 ranks.
+const SHAPES: [(usize, usize); 4] = [(1, 1), (7, 1), (8, 8), (13, 5)];
 
 /// A close threshold no phase reaches: every epoch closes serially.
 const SERIAL: u64 = u64::MAX;
@@ -122,8 +136,7 @@ const POOLED: u64 = 0;
 /// of parallel steps to execute.
 type Schedule<'a> = (&'a [(usize, usize)], usize);
 
-fn gossip_fleet() -> Vec<Gossip> {
-    let (w, h) = (8, 8);
+fn gossip_grid(w: usize, h: usize) -> Vec<Gossip> {
     (0..w * h)
         .map(|id| Gossip {
             id,
@@ -208,16 +221,14 @@ fn run_async<A: RankAlgorithm>(
 /// (modelled time included), which every superstep path must agree on.
 fn run_superstep<A: RankAlgorithm>(
     ranks: Vec<A>,
-    (mode, close_threshold, grain): Path,
+    (mode, close_threshold): Path,
     chaos: ChaosConfig,
     (stalls, steps): Schedule,
     logs: impl Fn(&[A]) -> Vec<Vec<InboxLog>>,
 ) -> (Observed, Vec<StepStats>) {
-    let mut ex = Executor::with_chaos(ranks, CostModel::default(), mode, chaos);
+    let mut ex =
+        Executor::with_chaos(ranks, CostModel::default(), mode, chaos).expect("valid executor");
     ex.set_parallel_close_threshold(close_threshold);
-    if let Some(g) = grain {
-        ex.set_grain(g);
-    }
     for &(rank, steps) in stalls {
         ex.injector_mut().inject_stall(rank, steps);
     }
@@ -268,7 +279,8 @@ fn assert_paths_match<A: RankAlgorithm>(
 }
 
 proptest! {
-    // Each case runs six full 64-rank executors; keep the count modest.
+    // Each case runs twenty executors of up to 65 ranks; keep the count
+    // modest.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
@@ -290,22 +302,17 @@ proptest! {
             seed,
             ..ChaosConfig::none()
         };
-        let reference = run_async(gossip_fleet(), chaos, (&[], STEPS), gossip_logs);
-        assert_paths_match(
-            &reference,
-            &[
-                // Fully serial.
-                (ExecMode::Sequential, SERIAL, None),
-                // The pool-parallel close, across pool sizes and grains.
-                (ExecMode::Threaded(3), POOLED, None),
-                (ExecMode::Threaded(5), POOLED, Some(1)),
-                (ExecMode::Threaded(2), POOLED, Some(7)),
-            ],
-            gossip_fleet,
-            chaos,
-            (&[], STEPS),
-            gossip_logs,
-        );
+        for (w, h) in SHAPES {
+            let reference = run_async(gossip_grid(w, h), chaos, (&[], STEPS), gossip_logs);
+            assert_paths_match(
+                &reference,
+                &ALL_PATHS,
+                || gossip_grid(w, h),
+                chaos,
+                (&[], STEPS),
+                gossip_logs,
+            );
+        }
     }
 }
 
@@ -366,8 +373,8 @@ proptest! {
             seed,
             ..ChaosConfig::none()
         };
-        let path = (ExecMode::Sequential, SERIAL, None);
-        let plain = run_superstep(gossip_fleet(), path, chaos, (&[], STEPS), gossip_logs);
+        let path = (ExecMode::Sequential, SERIAL);
+        let plain = run_superstep(gossip_grid(8, 8), path, chaos, (&[], STEPS), gossip_logs);
         let coded = run_superstep(coded_ranks(1), path, chaos, (&[], STEPS), coded_logs);
         prop_assert_eq!(
             &plain,
@@ -402,11 +409,7 @@ proptest! {
         let reference = run_async(coded_ranks(2), chaos, (&[], STEPS), coded_logs);
         assert_paths_match(
             &reference,
-            &[
-                (ExecMode::Sequential, SERIAL, None),
-                (ExecMode::Threaded(3), POOLED, None),
-                (ExecMode::Threaded(2), POOLED, Some(7)),
-            ],
+            &ALL_PATHS,
             || coded_ranks(2),
             chaos,
             (&[], STEPS),
@@ -423,14 +426,14 @@ proptest! {
 fn targeted_stall_accumulation_identical_across_paths() {
     let schedule: Schedule = (&[(27, 3), (0, 2)], 6);
     let chaos = ChaosConfig::none();
-    let reference = run_async(gossip_fleet(), chaos, schedule, gossip_logs);
+    let reference = run_async(gossip_grid(8, 8), chaos, schedule, gossip_logs);
     assert_paths_match(
         &reference,
         &[
-            (ExecMode::Sequential, SERIAL, None),
-            (ExecMode::Threaded(4), POOLED, None),
+            (ExecMode::Sequential, SERIAL),
+            (ExecMode::Threaded(4), POOLED),
         ],
-        gossip_fleet,
+        || gossip_grid(8, 8),
         chaos,
         schedule,
         gossip_logs,
